@@ -30,6 +30,17 @@ std::string RegisteredKeyList() {
   return JoinStrings(BundlerRegistry::Global().Keys(), ", ");
 }
 
+// Validates a Sweep/Resolve spec. Unknown methods are the most common
+// authoring mistake, so their diagnostic carries the registry's key list.
+Status ValidateGridSpec(const ScenarioSpec& spec) {
+  std::string diagnostic;
+  if (ValidateScenarioSpec(spec, &diagnostic)) return Status::Ok();
+  if (diagnostic.find("unknown method") != std::string::npos) {
+    diagnostic += " (valid: " + RegisteredKeyList() + ")";
+  }
+  return Status::InvalidArgument("invalid scenario: " + diagnostic);
+}
+
 Status ValidateShard(int shard_index, int shard_count) {
   if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
     return Status::InvalidArgument(
@@ -47,6 +58,10 @@ Engine::Engine(const Options& options)
     : options_(options), pool_(std::make_unique<ThreadPool>(options.threads)) {}
 
 Engine::~Engine() = default;
+
+ThreadPool* Engine::SharedPoolFor(int threads) const {
+  return threads == options_.threads ? pool_.get() : nullptr;
+}
 
 std::shared_ptr<const RatingsDataset> Engine::DatasetFor(
     const DatasetSpec& spec, bool* hit) {
@@ -231,8 +246,7 @@ std::vector<StatusOr<SolveResponse>> Engine::SolveBatch(
   // inner path so the result depends only on the request, not on which
   // worker ran it (mirroring the sweep runner's per-cell contract). Callers
   // wanting parallel candidate evaluation inside one big solve use Solve.
-  // ParallelFor holds a single job slot, so bulk calls take the pool lock.
-  MutexLock lock(pool_mu_);
+  // Concurrent bulk calls share the pool: each is its own ParallelFor job.
   pool_->ParallelFor(requests.size(), [&](std::size_t index, int /*slot*/) {
     SolveRequest request = requests[index];
     request.options.threads = 1;
@@ -242,15 +256,7 @@ std::vector<StatusOr<SolveResponse>> Engine::SolveBatch(
 }
 
 StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
-  std::string diagnostic;
-  if (!ValidateScenarioSpec(request.spec, &diagnostic)) {
-    // Unknown methods are the most common authoring mistake; append the
-    // registry's key list so the error is self-serve.
-    if (diagnostic.find("unknown method") != std::string::npos) {
-      diagnostic += " (valid: " + RegisteredKeyList() + ")";
-    }
-    return Status::InvalidArgument("invalid scenario: " + diagnostic);
-  }
+  if (Status spec = ValidateGridSpec(request.spec); !spec.ok()) return spec;
   if (Status shard = ValidateShard(request.shard_index, request.shard_count);
       !shard.ok()) {
     return shard;
@@ -283,20 +289,10 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
                                     double lambda) {
     return WtpFor(cell_dataset, cell_data, lambda);
   };
-  // Reuse the Engine's pool when the request runs at the Engine's width —
-  // serialized on pool_mu_, since ParallelFor holds a single job slot.
-  // Otherwise spin up a request-local pool (results are identical either
-  // way — width only affects wall time).
-  if (runner_options.threads == options_.threads) {
-    MutexLock lock(pool_mu_);
-    response.result =
-        RunSweepCells(request.spec, cells, *dataset, runner_options,
-                      pool_.get(), provider, wtp_provider);
-  } else {
-    response.result =
-        RunSweepCells(request.spec, cells, *dataset, runner_options, nullptr,
-                      provider, wtp_provider);
-  }
+  response.result =
+      RunSweepCells(request.spec, cells, *dataset, runner_options,
+                    SharedPoolFor(runner_options.threads), provider,
+                    wtp_provider);
   response.result.wall_seconds = timer.Seconds();
   return response;
 }
@@ -316,13 +312,7 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
   if (request.market == nullptr) {
     return Status::InvalidArgument("ResolveRequest needs a market stream");
   }
-  std::string diagnostic;
-  if (!ValidateScenarioSpec(request.spec, &diagnostic)) {
-    if (diagnostic.find("unknown method") != std::string::npos) {
-      diagnostic += " (valid: " + RegisteredKeyList() + ")";
-    }
-    return Status::InvalidArgument("invalid scenario: " + diagnostic);
-  }
+  if (Status spec = ValidateGridSpec(request.spec); !spec.ok()) return spec;
   if (HasDatasetAxes(request.spec)) {
     return Status::InvalidArgument(
         "resolve spec cannot carry dataset axes — the market stream supplies "
@@ -411,16 +401,10 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
     return WtpForKey(market_key + ";lambda=" + FormatDoubleShortest(lambda),
                      data, lambda);
   };
-  if (runner_options.threads == options_.threads) {
-    MutexLock lock(pool_mu_);
-    response.result = RunSweepCells(request.spec, cells, *snap.dataset,
-                                    runner_options, pool_.get(), nullptr,
-                                    wtp_provider);
-  } else {
-    response.result = RunSweepCells(request.spec, cells, *snap.dataset,
-                                    runner_options, nullptr, nullptr,
-                                    wtp_provider);
-  }
+  response.result = RunSweepCells(request.spec, cells, *snap.dataset,
+                                  runner_options,
+                                  SharedPoolFor(runner_options.threads),
+                                  nullptr, wtp_provider);
   response.result.wall_seconds = timer.Seconds();
   for (const SweepCellResult& cell : response.result.cells) {
     response.pairs_evaluated += cell.stats.pairs_evaluated;

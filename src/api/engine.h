@@ -156,12 +156,12 @@ struct ResolveResponse {
   std::int64_t pairs_reused = 0;
 };
 
-/// The facade. Thread-safe: concurrent Solve calls only contend on the
-/// dataset cache mutex; concurrent Sweep/SolveBatch calls additionally
-/// serialize on the shared worker pool (ThreadPool::ParallelFor is a
-/// single-job primitive), so overlapping bulk requests queue rather than
-/// race. One Engine per process (or per tenant) is the intended shape —
-/// that is what makes the cache pay off.
+/// The facade. Thread-safe, and concurrent calls run concurrently: Solve,
+/// SolveBatch, Sweep and Resolve contend only on the cache mutexes, never on
+/// the shared worker pool — each bulk call is its own ThreadPool job, and
+/// overlapping jobs share the pool's workers. Results do not depend on what
+/// else is running. One Engine per process (or per tenant) is the intended
+/// shape — that is what makes the caches pay off.
 class Engine {
  public:
   struct Options {
@@ -297,11 +297,16 @@ class Engine {
     return options.threads > 0 ? options.threads : options_.threads;
   }
 
+  // The pool a grid run `threads` wide fans out over: the shared pool when
+  // that is the Engine's width, else null, so RunSweepCells makes a
+  // request-local one (results are identical either way — width only
+  // affects wall time).
+  ThreadPool* SharedPoolFor(int threads) const;
+
   Options options_;
-  /// Serializes Sweep/SolveBatch use of `pool_`: ParallelFor keeps one job
-  /// slot, so concurrent bulk calls must take turns on the shared pool.
-  Mutex pool_mu_;
-  std::unique_ptr<ThreadPool> pool_ GUARDED_BY(pool_mu_);
+  /// Shared by every concurrent Sweep/SolveBatch/Resolve call; ParallelFor
+  /// takes concurrent jobs, so bulk requests overlap on it.
+  std::unique_ptr<ThreadPool> pool_;
 
   mutable Mutex cache_mu_;
   /// Front = most recently used.

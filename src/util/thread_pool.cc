@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+
 namespace bundlemine {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -21,22 +23,34 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
+void ThreadPool::Job::Drain(int slot) {
+  for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+    fn(i, slot);
+  }
+}
+
+ThreadPool::Job* ThreadPool::NextJob() {
+  while (!jobs_.empty()) {
+    Job* front = jobs_.front();
+    if (front->next.load(std::memory_order_relaxed) < front->n) return front;
+    jobs_.pop_front();  // Exhausted: its remaining indices are in flight.
+  }
+  return nullptr;
+}
+
 void ThreadPool::WorkerLoop(int slot) {
-  std::uint64_t seen = 0;
+  Job* job = nullptr;
   while (true) {
-    const std::function<void(int)>* job = nullptr;
     {
       MutexLock lock(mu_);
-      while (!shutdown_ && generation_ == seen) work_cv_.Wait(mu_);
-      if (shutdown_) return;
-      seen = generation_;
-      job = job_;
+      if (job != nullptr && --job->active == 0) job->done.NotifyAll();
+      while ((job = NextJob()) == nullptr) {
+        if (shutdown_) return;
+        work_cv_.Wait(mu_);
+      }
+      ++job->active;
     }
-    (*job)(slot);
-    {
-      MutexLock lock(mu_);
-      if (--active_ == 0) done_cv_.NotifyAll();
-    }
+    job->Drain(slot);
   }
 }
 
@@ -48,23 +62,19 @@ void ThreadPool::ParallelFor(
     return;
   }
 
-  std::atomic<std::size_t> next{0};
-  std::function<void(int)> job = [&](int slot) {
-    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-      fn(i, slot);
-    }
-  };
+  Job job(n, fn);
   {
     MutexLock lock(mu_);
-    job_ = &job;
-    active_ = num_workers();
-    ++generation_;
+    jobs_.push_back(&job);
   }
   work_cv_.NotifyAll();
-  job(0);  // The calling thread participates as slot 0.
+  job.Drain(0);  // The calling thread participates as slot 0.
   MutexLock lock(mu_);
-  while (active_ != 0) done_cv_.Wait(mu_);
-  job_ = nullptr;
+  // Unlink the job (a worker may already have popped it) so no worker can
+  // join it any more, then wait out the workers still inside.
+  auto it = std::find(jobs_.begin(), jobs_.end(), &job);
+  if (it != jobs_.end()) jobs_.erase(it);
+  while (job.active != 0) job.done.Wait(mu_);
 }
 
 }  // namespace bundlemine

@@ -1,7 +1,8 @@
 // Engine facade tests: Status-based error paths (no aborts on user input),
 // dataset-cache hit behavior, batch determinism, shard partition identity,
-// and the golden tiny-theta artifact flowing byte-identically through the
-// new API — including the artifact reader's write→read→write round trip.
+// concurrent bulk requests on one shared pool, and the golden tiny-theta
+// artifact flowing byte-identically through the new API — including the
+// artifact reader's write→read→write round trip.
 
 #include <algorithm>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/engine.h"
@@ -17,9 +19,12 @@
 #include "data/generator.h"
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
+#include "market/market_delta.h"
+#include "market/market_stream.h"
 #include "scenario/artifact_reader.h"
 #include "scenario/artifact_writer.h"
 #include "scenario/scenario_spec.h"
+#include "serve/protocol.h"
 
 namespace bundlemine {
 namespace {
@@ -469,6 +474,92 @@ TEST(Sharding, ShardsPartitionTheGridAndMatchTheFullRun) {
     }
     EXPECT_EQ(total, full_cells.size()) << "shards must partition the grid";
     EXPECT_EQ(seen.size(), full_cells.size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent bulk requests on one Engine.
+// ---------------------------------------------------------------------------
+
+// One client's script against `engine`, as the deterministic response bytes
+// of each call: per round a sweep, a three-solve batch, and a resolve of the
+// client's own market after a one-delta update. Clients differ in dataset
+// seed and in which item the delta touches.
+std::vector<std::string> RunClientScript(Engine& engine, int client) {
+  constexpr int kRounds = 3;
+  const std::string seed = std::to_string(11 + client);
+  StatusOr<ScenarioSpec> spec = ResolveScenarioSpec(
+      "scale=tiny;seed=" + seed +
+      ";methods=components,pure-matching;axis:theta=-0.05,0,0.05");
+  EXPECT_TRUE(spec.ok()) << spec.status().message();
+  DatasetSpec dataset = spec->dataset;
+
+  std::vector<SolveRequest> batch;
+  for (const char* method : {"components", "pure-matching", "pure-greedy"}) {
+    SolveRequest request;
+    request.method = method;
+    request.dataset = dataset;
+    batch.push_back(std::move(request));
+  }
+
+  MarketStream market("client-" + std::to_string(client));
+  StatusOr<std::shared_ptr<const RatingsDataset>> base = engine.Dataset(dataset);
+  EXPECT_TRUE(base.ok());
+  EXPECT_TRUE(market.Load(**base).ok());
+  ResolveRequest resolve;
+  resolve.market = &market;
+  resolve.spec = *spec;
+
+  std::vector<std::string> out;
+  for (int round = 0; round < kRounds; ++round) {
+    SweepRequest sweep;
+    sweep.spec = *spec;
+    StatusOr<SweepResponse> swept = engine.Sweep(sweep);
+    EXPECT_TRUE(swept.ok());
+    if (swept.ok()) out.push_back(SweepArtifactJson(swept->result));
+
+    for (const StatusOr<SolveResponse>& solved : engine.SolveBatch(batch)) {
+      EXPECT_TRUE(solved.ok());
+      if (solved.ok()) out.push_back(SolveResponseJson({}, *solved).Dump(0));
+    }
+
+    MarketDelta delta;
+    delta.op = MarketDeltaOp::kScalePrice;
+    delta.item = (client * 5 + round) % (*base)->num_items();
+    delta.value = 1.5;
+    EXPECT_TRUE(market.Apply({delta}).ok());
+    StatusOr<ResolveResponse> resolved = engine.Resolve(resolve);
+    EXPECT_TRUE(resolved.ok());
+    if (resolved.ok()) out.push_back(SweepArtifactJson(resolved->result));
+  }
+  return out;
+}
+
+TEST(ConcurrentEngine, BulkRequestsOnSharedPoolMatchSerialOracle) {
+  constexpr int kClients = 4;
+  // Width 3: the shared pool has workers, and every sweep, batch and
+  // resolve below runs on it (requests leave options.threads at 0).
+  Engine::Options options;
+  options.threads = 3;
+  Engine shared(options);
+  std::vector<std::vector<std::string>> concurrent(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&shared, &concurrent, c] {
+      concurrent[static_cast<std::size_t>(c)] = RunClientScript(shared, c);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    Engine fresh;
+    const std::vector<std::string> oracle = RunClientScript(fresh, c);
+    const std::vector<std::string>& got = concurrent[static_cast<std::size_t>(c)];
+    ASSERT_EQ(got.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_EQ(got[i], oracle[i]) << "response " << i;
+    }
   }
 }
 

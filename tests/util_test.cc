@@ -1,10 +1,15 @@
 // Unit tests for util: strings, CSV, flags, RNG, timers, table printing,
-// JSON parsing, and Status.
+// JSON parsing, Status, and the multi-job ThreadPool.
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <optional>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "util/csv.h"
@@ -14,6 +19,7 @@
 #include "util/status.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace bundlemine {
@@ -318,6 +324,140 @@ TEST(StatusOr, HoldsValueOrStatus) {
   StatusOr<std::unique_ptr<int>> owner(std::make_unique<int>(5));
   std::unique_ptr<int> taken = std::move(owner).value();
   EXPECT_EQ(*taken, 5);
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool: concurrent callers, each ParallelFor its own job.
+// ---------------------------------------------------------------------------
+
+// Runs `callers` threads at once, each calling `body(caller)`, and joins them.
+template <typename Body>
+void RunCallers(int callers, const Body& body) {
+  std::vector<std::thread> threads;
+  for (int c = 0; c < callers; ++c) threads.emplace_back([&body, c] { body(c); });
+  for (std::thread& t : threads) t.join();
+}
+
+// Several threads submit jobs of different sizes to one pool for many
+// rounds. Every index of every job must run exactly once, every slot must
+// lie in [0, num_slots()), and no slot may be occupied by two threads at
+// once within one job.
+void ExpectConcurrentJobsAreExact(int pool_threads) {
+  ThreadPool pool(pool_threads);
+  const int slots = pool.num_slots();
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  std::atomic<int> wrong_count{0};
+  std::atomic<int> bad_slot{0};
+  std::atomic<int> shared_slot{0};
+  RunCallers(kCallers, [&](int caller) {
+    for (int round = 0; round < kRounds; ++round) {
+      const std::size_t n = static_cast<std::size_t>((caller * 7 + round * 3) % 41);
+      std::vector<std::atomic<int>> runs(n);
+      std::vector<std::atomic<int>> in_slot(static_cast<std::size_t>(slots));
+      pool.ParallelFor(n, [&](std::size_t index, int slot) {
+        runs[index].fetch_add(1);
+        if (slot < 0 || slot >= slots) {
+          bad_slot.fetch_add(1);
+          return;
+        }
+        std::atomic<int>& occupied = in_slot[static_cast<std::size_t>(slot)];
+        if (occupied.exchange(1) != 0) shared_slot.fetch_add(1);
+        std::this_thread::yield();  // Widen the window for overlap.
+        occupied.store(0);
+      });
+      for (const std::atomic<int>& count : runs) {
+        if (count.load() != 1) wrong_count.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_EQ(wrong_count.load(), 0) << "indices not run exactly once";
+  EXPECT_EQ(bad_slot.load(), 0) << "slot outside [0, num_slots())";
+  EXPECT_EQ(shared_slot.load(), 0) << "two threads shared a slot in one job";
+}
+
+TEST(ThreadPool, ConcurrentCallersOnWorkerPool) {
+  ExpectConcurrentJobsAreExact(3);
+}
+
+TEST(ThreadPool, ConcurrentCallersOnInlinePool) {
+  ExpectConcurrentJobsAreExact(1);
+}
+
+// Each of four concurrent callers blocks inside its own job until all four
+// jobs are running. A pool that ran jobs one at a time would never let the
+// latch open; the bounded wait turns that into a failure instead of a hang.
+void ExpectJobsOverlap(int pool_threads) {
+  ThreadPool pool(pool_threads);
+  constexpr int kCallers = 4;
+  std::latch all_inside(kCallers);
+  std::atomic<int> timed_out{0};
+  RunCallers(kCallers, [&](int /*caller*/) {
+    std::atomic<bool> arrived{false};
+    pool.ParallelFor(4, [&](std::size_t /*index*/, int /*slot*/) {
+      if (arrived.exchange(true)) return;
+      all_inside.count_down();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!all_inside.try_wait()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out.fetch_add(1);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+  });
+  EXPECT_EQ(timed_out.load(), 0) << "jobs queued instead of overlapping";
+}
+
+TEST(ThreadPool, ConcurrentJobsOverlapOnWorkerPool) { ExpectJobsOverlap(3); }
+
+TEST(ThreadPool, ConcurrentJobsOverlapOnInlinePool) { ExpectJobsOverlap(1); }
+
+TEST(ThreadPool, EmptyAndSingletonJobs) {
+  for (int threads : {1, 3}) {
+    ThreadPool pool(threads);
+    int calls = 0;
+    pool.ParallelFor(0, [&](std::size_t, int) { ++calls; });
+    EXPECT_EQ(calls, 0);
+    // A single index runs inline on the caller, as slot 0.
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(1, [&](std::size_t index, int slot) {
+      ++calls;
+      EXPECT_EQ(index, 0u);
+      EXPECT_EQ(slot, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+    EXPECT_EQ(calls, 1);
+  }
+}
+
+TEST(ThreadPool, DestroyedRightAfterManyJobs) {
+  for (int iteration = 0; iteration < 20; ++iteration) {
+    std::atomic<long> sum{0};
+    {
+      ThreadPool pool(3);
+      RunCallers(3, [&](int caller) {
+        for (int job = 0; job < 20; ++job) {
+          pool.ParallelFor(static_cast<std::size_t>(caller + job + 2),
+                           [&](std::size_t index, int) {
+                             sum.fetch_add(static_cast<long>(index));
+                           });
+        }
+      });
+    }  // Joins the workers with no job in flight.
+    long expected = 0;
+    for (int caller = 0; caller < 3; ++caller) {
+      for (int job = 0; job < 20; ++job) {
+        const long n = caller + job + 2;
+        expected += n * (n - 1) / 2;
+      }
+    }
+    EXPECT_EQ(sum.load(), expected);
+  }
+  // A pool that never saw a job shuts down cleanly too.
+  ThreadPool idle(4);
 }
 
 }  // namespace
