@@ -1,8 +1,8 @@
 // google-benchmark micro-kernels for the hot paths underneath every
 // experiment: single-offer pricing (grid + exact, legacy vs workspace),
 // mixed merge gain, sparse vector merging, bitmap support counting, blossom
-// matching, and one enumeration step. Run with --benchmark_filter=... as
-// usual.
+// matching, one enumeration step, and a dense-vs-sparse greedy solve. Run
+// with --benchmark_filter=... as usual.
 //
 // The *Workspace variants price through a reusable PricingWorkspace — the
 // per-candidate path of the bundling algorithms. Every pricing benchmark
@@ -20,7 +20,10 @@
 #include <new>
 #include <vector>
 
+#include "core/greedy_bundler.h"
 #include "core/offer_ops.h"
+#include "core/problem.h"
+#include "core/solve_context.h"
 #include "data/generator.h"
 #include "data/wtp_matrix.h"
 #include "matching/max_weight_matching.h"
@@ -215,6 +218,36 @@ void BM_PriceMergedPair(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_PriceMergedPair)->Arg(16)->Arg(128)->Arg(1024);
+
+// A whole mixed-greedy solve on a tiny instance, with the dense per-offer
+// columns (Dense) and with BundleConfigProblem::soa_columns off (Sparse):
+// the layer gain of the shared dense offer state, without the daemon. Both
+// variants produce the same solution.
+void BM_GreedySolve(benchmark::State& state, bool soa_columns) {
+  static const WtpMatrix* const wtp = [] {
+    static const WtpMatrix m =
+        WtpMatrix::FromRatings(GenerateAmazonLike(TinyProfile(7)), 1.25);
+    return &m;
+  }();
+  BundleConfigProblem problem;
+  problem.wtp = wtp;
+  problem.strategy = BundlingStrategy::kMixed;
+  problem.soa_columns = soa_columns;
+  const GreedyBundler greedy;
+  std::int64_t pairs = 0;
+  for (auto _ : state) {
+    SolveContext context;
+    benchmark::DoNotOptimize(greedy.Solve(problem, context).total_revenue);
+    pairs += context.stats().pairs_evaluated;
+  }
+  // Seconds per priced candidate pair (printed with an SI suffix, e.g. 2u).
+  state.counters["s_per_pair"] = benchmark::Counter(
+      static_cast<double>(pairs),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_GreedySolve, Dense, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GreedySolve, Sparse, false)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BitmapSupport(benchmark::State& state) {
   Rng rng(7);

@@ -1,47 +1,23 @@
 #include "core/greedy_bundler.h"
 
-#include <algorithm>
 #include <queue>
+#include <utility>
+#include <vector>
 
-#include "core/offer_ops.h"
-#include "pricing/mixed_pricer.h"
-#include "pricing/offer_pricer.h"
+#include "core/offer_set.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace bundlemine {
 namespace {
 
-constexpr double kGainEpsilon = 1e-9;
-
-struct Offer {
-  Bundle items;
-  SparseWtpVector raw;
-  // Mixed bundling: per-consumer subtree payment vector (see MergeSide).
-  SparseWtpVector payments;
-  double price = 0.0;
-  double standalone = 0.0;
-  double buyers = 0.0;
-  double attributed = 0.0;
-  double increment = 0.0;
-  bool alive = true;
-  int child1 = -1;
-  int child2 = -1;
-};
-
-// Heap entry: candidate merge of offers a and b (by stable offer index).
-struct HeapEntry {
-  double gain;
-  int a;
-  int b;
-  double price;
-  double revenue;
-  double buyers;
-
-  bool operator<(const HeapEntry& other) const {
-    if (gain != other.gain) return gain < other.gain;  // Max-heap by gain.
-    if (a != other.a) return a > other.a;
-    return b > other.b;
+// Heap order over candidate merges (by stable offer index): max-heap by
+// gain, ties popping the smallest (a, b) first.
+struct ByGain {
+  bool operator()(const CandidateEdge& x, const CandidateEdge& y) const {
+    if (x.gain != y.gain) return x.gain < y.gain;
+    if (x.a != y.a) return x.a > y.a;
+    return x.b > y.b;
   }
 };
 
@@ -53,85 +29,31 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
   const WtpMatrix& wtp = *problem.wtp;
   WallTimer timer;
   const int k = problem.EffectiveMaxSize();
-  const bool pure = problem.strategy == BundlingStrategy::kPure;
-  const char* method_name = pure ? "Pure Greedy" : "Mixed Greedy";
-
-  OfferPricer pricer(problem.adoption, problem.price_levels);
-  MixedPricer mixed(problem.adoption, problem.price_levels,
-                    problem.mixed_composition);
+  const char* method_name = problem.strategy == BundlingStrategy::kPure
+                                ? "Pure Greedy"
+                                : "Mixed Greedy";
   PricingWorkspace& ws = context.workspace();
-  std::vector<Offer> offers;
+  OfferSet st(problem, &ws);
+  double total = st.TotalRevenue();
+  std::vector<IterationStat> trace{
+      {0, total, timer.Seconds(), st.alive_count()}};
 
-  offers.reserve(static_cast<std::size_t>(wtp.num_items()) * 2);
-  double total = 0.0;
-  for (ItemId i = 0; i < wtp.num_items(); ++i) {
-    Offer o;
-    o.items = Bundle::Of(i);
-    o.raw = wtp.ItemVector(i);
-    PricedOffer priced = pricer.PriceOffer(o.raw, 1.0, &ws);
-    o.price = priced.price;
-    o.standalone = priced.revenue;
-    o.buyers = priced.expected_buyers;
-    o.attributed = priced.revenue;
-    o.increment = priced.revenue;
-    if (!pure) o.payments = mixed.BuildStandalonePayments(o.raw, 1.0, o.price);
-    total += priced.revenue;
-    offers.push_back(std::move(o));
-  }
-
-  BundleSolution solution;
-  solution.method = method_name;
-  solution.trace.push_back(
-      IterationStat{0, total, timer.Seconds(), static_cast<int>(offers.size())});
-
-  auto evaluate = [&](int ai, int bi, HeapEntry* entry) -> bool {
+  // Holds only positive-gain merges: EvaluatePair rejects the rest.
+  std::priority_queue<CandidateEdge, std::vector<CandidateEdge>, ByGain> heap;
+  CandidateEdge edge;
+  auto consider = [&](int a, int b) {
     ++context.stats().pairs_evaluated;
-    const Offer& a = offers[static_cast<std::size_t>(ai)];
-    const Offer& b = offers[static_cast<std::size_t>(bi)];
-    int merged_size = a.items.size() + b.items.size();
-    if (merged_size > k) return false;
-    double merged_scale = BundleScale(merged_size, problem.theta);
-    if (merged_scale <= 0.0) return false;
-    entry->a = ai;
-    entry->b = bi;
-    if (pure) {
-      PricedOffer priced =
-          PriceMergedPair(a.raw, b.raw, merged_scale, pricer, &ws);
-      double gain = priced.revenue - a.standalone - b.standalone;
-      if (gain <= kGainEpsilon) return false;
-      entry->gain = gain;
-      entry->price = priced.price;
-      entry->revenue = priced.revenue;
-      entry->buyers = priced.expected_buyers;
-      return true;
-    }
-    MergeSide sa{&a.raw, BundleScale(a.items.size(), problem.theta), a.price,
-                 &a.payments};
-    MergeSide sb{&b.raw, BundleScale(b.items.size(), problem.theta), b.price,
-                 &b.payments};
-    MergeGainResult r = mixed.MergeGain(sa, sb, merged_scale, &ws);
-    if (!r.feasible || r.gain <= kGainEpsilon) return false;
-    entry->gain = r.gain;
-    entry->price = r.bundle_price;
-    entry->revenue = 0.0;
-    entry->buyers = r.expected_adopters;
-    return true;
+    if (st.EvaluatePair(a, b, &edge, &ws)) heap.push(edge);
   };
 
   // Seed the heap with co-interested item pairs (or all pairs when the
   // pruning is disabled).
-  std::priority_queue<HeapEntry> heap;
-  HeapEntry entry;
   if (k >= 2) {
     if (problem.prune_co_interest) {
-      for (const auto& [i, j] : wtp.CoInterestedPairs()) {
-        if (evaluate(i, j, &entry)) heap.push(entry);
-      }
+      for (const auto& [i, j] : wtp.CoInterestedPairs()) consider(i, j);
     } else {
       for (int i = 0; i < wtp.num_items(); ++i) {
-        for (int j = i + 1; j < wtp.num_items(); ++j) {
-          if (evaluate(i, j, &entry)) heap.push(entry);
-        }
+        for (int j = i + 1; j < wtp.num_items(); ++j) consider(i, j);
       }
     }
   }
@@ -142,89 +64,34 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
       context.stats().deadline_hit = true;
       break;
     }
-    HeapEntry top = heap.top();
+    const CandidateEdge top = heap.top();
     heap.pop();
-    if (!offers[static_cast<std::size_t>(top.a)].alive ||
-        !offers[static_cast<std::size_t>(top.b)].alive) {
+    if (!st.offer(top.a).alive || !st.offer(top.b).alive) {
       continue;  // Lazy deletion: a participant was absorbed meanwhile.
     }
-    if (top.gain <= kGainEpsilon) break;
 
-    // Collapse the pair.
     ++iteration;
     context.stats().rounds = iteration;
     ++context.stats().merges;
-    Offer merged;
-    {
-      Offer& a = offers[static_cast<std::size_t>(top.a)];
-      Offer& b = offers[static_cast<std::size_t>(top.b)];
-      merged.items = Bundle::Union(a.items, b.items);
-      merged.raw = SparseWtpVector::Merge(a.raw, b.raw);
-      merged.child1 = top.a;
-      merged.child2 = top.b;
-      merged.price = top.price;
-      merged.buyers = top.buyers;
-      merged.increment = top.gain;
-      if (pure) {
-        merged.standalone = top.revenue;
-        merged.attributed = top.revenue;
-      } else {
-        merged.standalone = 0.0;
-        merged.attributed = a.attributed + b.attributed + top.gain;
-        MergeSide sa{&a.raw, BundleScale(a.items.size(), problem.theta), a.price,
-                     &a.payments};
-        MergeSide sb{&b.raw, BundleScale(b.items.size(), problem.theta), b.price,
-                     &b.payments};
-        merged.payments = mixed.BuildMergedPayments(
-            sa, sb, BundleScale(merged.items.size(), problem.theta), top.price);
-      }
-      a.alive = false;
-      b.alive = false;
-    }
+    const int new_id = st.Merge(top);
     total += top.gain;
-    int new_id = static_cast<int>(offers.size());
-    offers.push_back(std::move(merged));
 
     // Evaluate the new bundle against all surviving offers.
-    const Offer& nb = offers[static_cast<std::size_t>(new_id)];
     for (int other = 0; other < new_id; ++other) {
-      const Offer& o = offers[static_cast<std::size_t>(other)];
+      const Offer& o = st.offer(other);
       if (!o.alive) continue;
-      if (problem.prune_co_interest && !SupportsIntersect(nb.raw, o.raw)) {
+      if (problem.prune_co_interest &&
+          !st.offer(new_id).support.Intersects(o.support)) {
         continue;
       }
-      if (evaluate(other, new_id, &entry)) heap.push(entry);
+      consider(other, new_id);
     }
-
-    int alive = 0;
-    for (const Offer& o : offers) alive += o.alive ? 1 : 0;
-    solution.trace.push_back(IterationStat{iteration, total, timer.Seconds(), alive});
+    trace.push_back(
+        IterationStat{iteration, total, timer.Seconds(), st.alive_count()});
   }
 
-  // Emit the configuration.
-  for (const Offer& o : offers) {
-    if (!o.alive) continue;
-    PricedBundle pb;
-    pb.items = o.items;
-    pb.price = o.price;
-    pb.revenue = pure ? o.standalone : o.increment;
-    pb.expected_buyers = o.buyers;
-    pb.is_component_offer = false;
-    solution.offers.push_back(std::move(pb));
-  }
-  if (!pure) {
-    for (const Offer& o : offers) {
-      if (o.alive) continue;
-      PricedBundle pb;
-      pb.items = o.items;
-      pb.price = o.price;
-      pb.revenue = o.increment;
-      pb.expected_buyers = o.buyers;
-      pb.is_component_offer = true;
-      solution.offers.push_back(std::move(pb));
-    }
-  }
-  solution.total_revenue = total;
+  BundleSolution solution = st.BuildSolution(method_name, total);
+  solution.trace = std::move(trace);
   solution.solve_seconds = timer.Seconds();
   return solution;
 }

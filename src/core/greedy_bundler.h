@@ -7,6 +7,12 @@
 // merge only triggers gain evaluations between the new bundle and the
 // surviving offers (the O(N) incremental step of the paper's complexity
 // analysis). Terminates when the best remaining gain is non-positive.
+//
+// The offers live in the OfferSet shared with MatchingBundler: candidate
+// pricing runs on the dense SoA columns when the dense-column gate is on
+// (BundleConfigProblem::soa_columns), and the co-interest check after a
+// merge is a word-AND over the support bitsets. Results are bit-identical
+// to the sparse path.
 
 #ifndef BUNDLEMINE_CORE_GREEDY_BUNDLER_H_
 #define BUNDLEMINE_CORE_GREEDY_BUNDLER_H_

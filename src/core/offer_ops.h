@@ -1,6 +1,5 @@
 // Internal helpers shared by the bundling algorithms: fast candidate-pair
-// evaluation without materializing merged sparse vectors, and support-overlap
-// tests used by the co-interest pruning.
+// evaluation without materializing merged sparse vectors.
 
 #ifndef BUNDLEMINE_CORE_OFFER_OPS_H_
 #define BUNDLEMINE_CORE_OFFER_OPS_H_
@@ -78,27 +77,6 @@ inline PricedOffer PriceMergedPairDense(const double* col_a,
     }
   }
   return pricer.PriceEffectiveValues(merged, ws);
-}
-
-/// True when the two audiences share at least one consumer with positive WTP
-/// on both sides — the generalization of the paper's first-iteration pruning
-/// to later iterations over already-merged bundles.
-inline bool SupportsIntersect(const SparseWtpVector& a, const SparseWtpVector& b) {
-  const auto& ea = a.entries();
-  const auto& eb = b.entries();
-  std::size_t i = 0, j = 0;
-  while (i < ea.size() && j < eb.size()) {
-    if (ea[i].id == eb[j].id) {
-      if (ea[i].w > 0.0 && eb[j].w > 0.0) return true;
-      ++i;
-      ++j;
-    } else if (ea[i].id < eb[j].id) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
 }
 
 }  // namespace bundlemine

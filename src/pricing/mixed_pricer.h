@@ -71,8 +71,9 @@ struct MergeSide {
   const SparseWtpVector* payments = nullptr;
 
   // Optional dense (SoA) view of the same offer, supplied by bundlers that
-  // maintain per-offer columns (MatchingBundler when the dense-column gate
-  // is on). When all three pointers are set on both sides, MergeGain stages
+  // maintain per-offer columns (MatchingBundler and GreedyBundler, through
+  // the shared OfferSet, when the dense-column gate is on). When all three
+  // pointers are set on both sides, MergeGain stages
   // the joint audience by iterating the support-union bitset over the dense
   // columns instead of sorted-merging the sparse vectors. `wtp_col` and
   // `payments_col` are num-users-sized arrays, zero where the consumer is

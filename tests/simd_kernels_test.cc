@@ -8,12 +8,15 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/greedy_bundler.h"
 #include "core/matching_bundler.h"
-#include "core/offer_ops.h"
+#include "core/offer_set.h"
 #include "core/solve_context.h"
 #include "data/generator.h"
 #include "mining/bitset.h"
@@ -26,6 +29,26 @@ namespace {
 
 using kernels::ExactStepResult;
 using kernels::MixedSigmoidResult;
+
+// Sorted-merge oracle for the bitset support join: true when the two
+// audiences share at least one consumer with positive WTP on both sides.
+bool SupportsIntersect(const SparseWtpVector& a, const SparseWtpVector& b) {
+  const auto& ea = a.entries();
+  const auto& eb = b.entries();
+  std::size_t i = 0, j = 0;
+  while (i < ea.size() && j < eb.size()) {
+    if (ea[i].id == eb[j].id) {
+      if (ea[i].w > 0.0 && eb[j].w > 0.0) return true;
+      ++i;
+      ++j;
+    } else if (ea[i].id < eb[j].id) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
 
 // Random audience values: mostly positive with some zero/negative entries,
 // spanning several magnitudes so grid boundaries and below-grid paths hit.
@@ -309,49 +332,154 @@ TEST(SupportJoinTest, BitsetMatchesSortedMerge) {
   EXPECT_LT(intersecting, 300);
 }
 
-// The dense SoA column path and the sparse sorted-merge path must produce
-// identical solutions — same offers, same prices, bit-equal revenues — for
-// every strategy/model combination.
-TEST(DenseColumnsTest, SolutionIdenticalToSparsePath) {
-  RatingsDataset data = GenerateAmazonLike(TinyProfile(2024));
-  const WtpMatrix wtp = WtpMatrix::FromRatings(data, 1.25);
-  struct Case {
-    BundlingStrategy strategy;
-    bool sigmoid;
-  };
-  const Case cases[] = {
-      {BundlingStrategy::kPure, false},
-      {BundlingStrategy::kPure, true},
-      {BundlingStrategy::kMixed, false},
-      {BundlingStrategy::kMixed, true},
-  };
-  for (const Case& c : cases) {
-    BundleConfigProblem problem;
-    problem.wtp = &wtp;
-    problem.theta = -0.1;
-    problem.strategy = c.strategy;
-    problem.adoption = c.sigmoid ? AdoptionModel::Sigmoid(8.0, 1.0, 1e-6)
-                                 : AdoptionModel::Step();
-    problem.price_levels = 50;
-
-    MatchingBundler bundler;
+// Solves `problem` with the dense columns allowed and forbidden and expects
+// identical solutions (same offers, same prices, bit-equal revenues) and
+// identical work counters, for both merge-based bundlers. Returns the merges
+// the two bundlers committed, so callers can insist the cases merge at all.
+std::int64_t ExpectDenseMatchesSparse(BundleConfigProblem problem,
+                                      const std::string& label) {
+  std::int64_t merges = 0;
+  const MatchingBundler matching;
+  const GreedyBundler greedy;
+  for (const Bundler* bundler : {static_cast<const Bundler*>(&matching),
+                                 static_cast<const Bundler*>(&greedy)}) {
+    SCOPED_TRACE(label + " bundler=" + bundler->name());
     problem.soa_columns = true;
     SolveContext dense_ctx{SolveContext::Options{}};
-    BundleSolution dense = bundler.Solve(problem, dense_ctx);
+    const BundleSolution dense = bundler->Solve(problem, dense_ctx);
     problem.soa_columns = false;
     SolveContext sparse_ctx{SolveContext::Options{}};
-    BundleSolution sparse = bundler.Solve(problem, sparse_ctx);
+    const BundleSolution sparse = bundler->Solve(problem, sparse_ctx);
 
-    EXPECT_EQ(dense.total_revenue, sparse.total_revenue)
-        << "strategy=" << static_cast<int>(c.strategy)
-        << " sigmoid=" << c.sigmoid;
-    ASSERT_EQ(dense.offers.size(), sparse.offers.size());
+    EXPECT_EQ(dense.total_revenue, sparse.total_revenue);
+    EXPECT_EQ(dense_ctx.stats().pairs_evaluated,
+              sparse_ctx.stats().pairs_evaluated);
+    EXPECT_EQ(dense_ctx.stats().merges, sparse_ctx.stats().merges);
+    merges += dense_ctx.stats().merges;
+    EXPECT_EQ(dense.offers.size(), sparse.offers.size());
+    if (dense.offers.size() != sparse.offers.size()) continue;
     for (std::size_t i = 0; i < dense.offers.size(); ++i) {
       EXPECT_TRUE(dense.offers[i].items == sparse.offers[i].items);
       EXPECT_EQ(dense.offers[i].price, sparse.offers[i].price);
       EXPECT_EQ(dense.offers[i].revenue, sparse.offers[i].revenue);
       EXPECT_EQ(dense.offers[i].expected_buyers,
                 sparse.offers[i].expected_buyers);
+      EXPECT_EQ(dense.offers[i].is_component_offer,
+                sparse.offers[i].is_component_offer);
+    }
+  }
+  return merges;
+}
+
+BundleConfigProblem TinyProblem(const WtpMatrix& wtp,
+                                BundlingStrategy strategy, bool sigmoid,
+                                double theta) {
+  BundleConfigProblem problem;
+  problem.wtp = &wtp;
+  problem.theta = theta;
+  problem.strategy = strategy;
+  problem.adoption = sigmoid ? AdoptionModel::Sigmoid(8.0, 1.0, 1e-6)
+                             : AdoptionModel::Step();
+  problem.price_levels = 50;
+  return problem;
+}
+
+// The dense SoA column path and the sparse sorted-merge path must produce
+// identical solutions for every strategy/model combination, with and
+// without the co-interest pruning and under a bundle-size cap. Pure
+// bundling merges nothing on this data at θ = −0.1, so every case also runs
+// at θ = 0.1.
+TEST(DenseColumnsTest, SolutionIdenticalToSparsePath) {
+  RatingsDataset data = GenerateAmazonLike(TinyProfile(2024));
+  const WtpMatrix wtp = WtpMatrix::FromRatings(data, 1.25);
+  for (BundlingStrategy strategy :
+       {BundlingStrategy::kPure, BundlingStrategy::kMixed}) {
+    for (bool sigmoid : {false, true}) {
+      std::int64_t merges = 0;
+      for (double theta : {-0.1, 0.1}) {
+        merges += ExpectDenseMatchesSparse(
+            TinyProblem(wtp, strategy, sigmoid, theta),
+            "strategy=" + std::to_string(static_cast<int>(strategy)) +
+                " sigmoid=" + std::to_string(sigmoid) +
+                " theta=" + std::to_string(theta));
+      }
+      EXPECT_GT(merges, 0);
+    }
+  }
+  BundleConfigProblem unpruned =
+      TinyProblem(wtp, BundlingStrategy::kMixed, /*sigmoid=*/false, -0.1);
+  unpruned.prune_co_interest = false;
+  EXPECT_GT(ExpectDenseMatchesSparse(unpruned, "prune_co_interest=false"), 0);
+  BundleConfigProblem capped =
+      TinyProblem(wtp, BundlingStrategy::kPure, /*sigmoid=*/false, 0.1);
+  capped.max_bundle_size = 3;
+  EXPECT_GT(ExpectDenseMatchesSparse(capped, "max_bundle_size=3"), 0);
+}
+
+// The dense-column gate: on for all-positive WTP within the budget, off
+// when the switch is off, when any WTP entry is zero, or when the columns
+// (one per offer for pure bundling, two for mixed) exceed the budget.
+TEST(DenseColumnsTest, GateRequiresSwitchPositiveWtpAndBudget) {
+  const int users = 40;
+  const int items = 6;
+  std::vector<std::tuple<UserId, ItemId, double>> triplets;
+  for (int u = 0; u < users; ++u) {
+    for (int i = 0; i < items; ++i) {
+      if ((u + i) % 3 != 0) triplets.emplace_back(u, i, 1.0 + (u * 7 + i) % 5);
+    }
+  }
+  const WtpMatrix positive = WtpMatrix::FromTriplets(users, items, triplets);
+  BundleConfigProblem problem;
+  problem.wtp = &positive;
+  EXPECT_TRUE(DenseColumnsEnabled(problem));
+
+  problem.soa_columns = false;
+  EXPECT_FALSE(DenseColumnsEnabled(problem));
+  problem.soa_columns = true;
+
+  const std::int64_t pure_bytes =
+      std::int64_t{users} * items * static_cast<std::int64_t>(sizeof(double));
+  EXPECT_TRUE(DenseColumnsEnabled(problem, pure_bytes));
+  EXPECT_FALSE(DenseColumnsEnabled(problem, pure_bytes - 1));
+  problem.strategy = BundlingStrategy::kMixed;
+  EXPECT_TRUE(DenseColumnsEnabled(problem, 2 * pure_bytes));
+  EXPECT_FALSE(DenseColumnsEnabled(problem, pure_bytes));
+
+  triplets.emplace_back(0, 0, 0.0);  // (0, 0) is otherwise absent.
+  const WtpMatrix with_zero = WtpMatrix::FromTriplets(users, items, triplets);
+  problem.wtp = &with_zero;
+  EXPECT_FALSE(DenseColumnsEnabled(problem));
+}
+
+// With the gate off because of zero WTP entries, both bundlers must take the
+// sparse path even when the switch allows dense columns: a support bitset
+// skips the zero-WTP consumers that the sparse joins still see.
+TEST(DenseColumnsTest, ZeroWtpFallsBackToSparsePath) {
+  RatingsDataset data = GenerateAmazonLike(TinyProfile(2024));
+  const WtpMatrix rated = WtpMatrix::FromRatings(data, 1.25);
+  std::vector<std::tuple<UserId, ItemId, double>> triplets;
+  for (ItemId i = 0; i < rated.num_items(); ++i) {
+    for (const WtpEntry& e : rated.ItemUsers(i)) {
+      triplets.emplace_back(e.id, i, e.w);
+    }
+    // Every item gains zero-WTP entries for a few consumers it lacks.
+    for (UserId u = i % 7; u < rated.num_users(); u += 29) {
+      if (rated.Value(u, i) == 0.0) triplets.emplace_back(u, i, 0.0);
+    }
+  }
+  const WtpMatrix wtp =
+      WtpMatrix::FromTriplets(rated.num_users(), rated.num_items(), triplets);
+  for (BundlingStrategy strategy :
+       {BundlingStrategy::kPure, BundlingStrategy::kMixed}) {
+    for (bool sigmoid : {false, true}) {
+      const BundleConfigProblem problem =
+          TinyProblem(wtp, strategy, sigmoid, /*theta=*/0.1);
+      ASSERT_FALSE(DenseColumnsEnabled(problem));
+      EXPECT_GT(ExpectDenseMatchesSparse(
+                    problem, "zero-wtp strategy=" +
+                                 std::to_string(static_cast<int>(strategy)) +
+                                 " sigmoid=" + std::to_string(sigmoid)),
+                0);
     }
   }
 }
