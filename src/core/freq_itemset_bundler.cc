@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/resolve_hints.h"
-#include "mining/fp_growth.h"
 #include "mining/mafia.h"
 #include "mining/transactions.h"
 #include "pricing/mixed_pricer.h"
@@ -85,18 +84,7 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
   // evaluations. A stopped mine yields fewer candidates; the configuration
   // assembled below stays structurally valid.
   limits.should_stop = DeadlineStopCondition(context);
-  std::vector<FrequentItemset> itemsets;
-  switch (problem.freq_miner) {
-    case MinerEngine::kMafia:
-      itemsets = MineMaximalFrequent(db, limits);
-      break;
-    case MinerEngine::kApriori:
-      itemsets = FilterMaximal(MineFrequentApriori(db, limits));
-      break;
-    case MinerEngine::kFpGrowth:
-      itemsets = FilterMaximal(MineFrequentFpGrowth(db, limits));
-      break;
-  }
+  const std::vector<FrequentItemset> itemsets = MineMaximalFrequent(db, limits);
 
   // Evaluate candidates (size ≥ 2 only; size-1 candidates are the items).
   std::vector<Candidate> candidates;

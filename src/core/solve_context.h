@@ -114,8 +114,8 @@ class SolveContext {
 };
 
 /// Stop-condition functor bridging the context deadline into cooperative
-/// cancellation loops (WSP enumeration/packing, the frequent-itemset
-/// miners). Returns an empty function when no deadline is set, so hot loops
+/// cancellation loops (WSP enumeration/packing, the maximal frequent-itemset
+/// miner). Returns an empty function when no deadline is set, so hot loops
 /// skip the std::function call entirely; flags stats().deadline_hit the
 /// moment a loop actually observes the expired deadline. The returned
 /// functor borrows `context` and must not outlive it.

@@ -125,7 +125,7 @@ TEST(ScenarioSpecTest, ParsesDatasetAndMethodConfigAxes) {
   std::optional<ScenarioSpec> spec = ParseScenarioSpec(
       "scale=tiny; seed=9; methods=components,mixed-freq;"
       "num-users=180; item-sample=25;"
-      "axis:num_items=60,80; axis:miner=0,1,2; axis:prune-co-interest=1,0;"
+      "axis:num_items=60,80; axis:composition=0,1; axis:prune-co-interest=1,0;"
       "axis:freq-support=0.04",
       &error);
   ASSERT_TRUE(spec) << error;
@@ -135,7 +135,7 @@ TEST(ScenarioSpecTest, ParsesDatasetAndMethodConfigAxes) {
   EXPECT_EQ(*spec->dataset.item_sample, 25);
   ASSERT_EQ(spec->axes.size(), 4u);
   EXPECT_EQ(spec->axes[0].kind, AxisKind::kNumItems);
-  EXPECT_EQ(spec->axes[1].kind, AxisKind::kMiner);
+  EXPECT_EQ(spec->axes[1].kind, AxisKind::kComposition);
   EXPECT_EQ(spec->axes[2].kind, AxisKind::kPruneCoInterest);
   EXPECT_EQ(spec->axes[3].kind, AxisKind::kFreqSupport);
   EXPECT_TRUE(ValidateScenarioSpec(*spec, &error)) << error;
@@ -149,10 +149,6 @@ TEST(ScenarioSpecTest, ParsesDatasetAndMethodConfigAxes) {
 TEST(ScenarioSpecTest, ValidateRejectsBadAxisValues) {
   std::string error;
   ScenarioSpec spec = TinySpec();
-
-  spec.axes = {{AxisKind::kMiner, {0, 3}}};  // Only 0..2 are engines.
-  EXPECT_FALSE(ValidateScenarioSpec(spec, &error));
-  EXPECT_NE(error.find("miner"), std::string::npos);
 
   spec.axes = {{AxisKind::kPruneCoInterest, {0.5}}};  // Toggles are 0/1.
   EXPECT_FALSE(ValidateScenarioSpec(spec, &error));

@@ -527,6 +527,14 @@ TEST(ServeTest, MalformedInputLeavesConnectionServing) {
       {SolveLine(4, "no-such-method", 0.0, 42), "NOT_FOUND",
        "unknown method key"},
       {SweepLine(5, "0/0"), "INVALID_ARGUMENT", "shard"},
+      // Sweeps over the removed miner axis: these once aborted the daemon
+      // for every tenant.
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-freq;)"
+       R"(axis:miner=1;axis:freq-support=0.02"})",
+       "INVALID_ARGUMENT", "unknown axis 'miner'"},
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-freq;)"
+       R"(axis:miner=2;axis:freq-support=0.02"})",
+       "INVALID_ARGUMENT", "unknown axis 'miner'"},
   };
   for (const Case& c : cases) {
     StatusOr<std::string> response = client.Call(c.line);
