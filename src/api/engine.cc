@@ -50,12 +50,25 @@ Status ValidateShard(int shard_index, int shard_count) {
   return Status::Ok();
 }
 
+// Every cache key derived from a market starts with one of these prefixes:
+// resolve lines are "market:<id>;spec=<spec text>", WTP scopes
+// "market:<id>@v<version>". EvictMarketCaches erases by exactly these.
+enum class MarketCache { kResolve, kWtp };
+std::string MarketKeyPrefix(const std::string& market_id, MarketCache cache) {
+  return "market:" + market_id +
+         (cache == MarketCache::kResolve ? ";spec=" : "@v");
+}
+
 }  // namespace
 
 std::string DatasetCacheKey(const DatasetSpec& spec) { return DatasetKey(spec); }
 
 Engine::Engine(const Options& options)
-    : options_(options), pool_(std::make_unique<ThreadPool>(options.threads)) {}
+    : options_(options),
+      pool_(std::make_unique<ThreadPool>(options.threads)),
+      dataset_cache_(options.dataset_cache_capacity),
+      wtp_cache_(options.wtp_cache_capacity),
+      resolve_cache_(options.resolve_cache_capacity) {}
 
 Engine::~Engine() = default;
 
@@ -70,67 +83,48 @@ std::shared_ptr<const RatingsDataset> Engine::DatasetFor(
   // key then materialize once instead of racing, and distinct keys are rare
   // enough per batch that the serialization is cheap relative to a solve.
   MutexLock lock(cache_mu_);
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->key == key) {
-      cache_.splice(cache_.begin(), cache_, it);  // Move to MRU position.
-      ++cache_hits_;
-      if (hit != nullptr) *hit = true;
-      return cache_.front().dataset;
-    }
+  const auto* cached = dataset_cache_.Find(key);
+  if (hit != nullptr) *hit = cached != nullptr;
+  if (cached != nullptr) {
+    ++dataset_hits_;
+    return *cached;
   }
-  ++cache_misses_;
-  if (hit != nullptr) *hit = false;
+  ++dataset_misses_;
   auto dataset =
       std::make_shared<const RatingsDataset>(MaterializeDataset(spec));
-  if (options_.dataset_cache_capacity == 0) return dataset;
-  cache_.push_front(CacheEntry{key, dataset});
-  while (cache_.size() > options_.dataset_cache_capacity) cache_.pop_back();
+  dataset_cache_.Put(key, dataset);
   return dataset;
 }
 
-std::shared_ptr<const WtpMatrix> Engine::WtpFor(const DatasetSpec& spec,
+std::shared_ptr<const WtpMatrix> Engine::WtpFor(const std::string& scope,
                                                 const RatingsDataset& dataset,
                                                 double lambda) {
-  // λ joins the key because DatasetCacheKey deliberately excludes it: one
-  // dataset serves many λ points (lambda-axis sweeps), each with its own
-  // derived matrix. FormatDoubleShortest round-trips, so distinct λ never
-  // collide.
-  return WtpForKey(DatasetCacheKey(spec) + ";lambda=" + FormatDoubleShortest(lambda),
-                   dataset, lambda);
-}
-
-std::shared_ptr<const WtpMatrix> Engine::WtpForKey(const std::string& key,
-                                                   const RatingsDataset& dataset,
-                                                   double lambda) {
+  // λ joins the key because neither scope includes it: one dataset serves
+  // many λ points (lambda-axis sweeps), each with its own derived matrix.
+  // FormatDoubleShortest round-trips, so distinct λ never collide.
+  const std::string key = scope + ";lambda=" + FormatDoubleShortest(lambda);
   // Derivation runs under the lock, mirroring DatasetFor: concurrent
   // requests for the same key derive once.
   MutexLock lock(cache_mu_);
-  for (auto it = wtp_cache_.begin(); it != wtp_cache_.end(); ++it) {
-    if (it->key == key) {
-      wtp_cache_.splice(wtp_cache_.begin(), wtp_cache_, it);
-      ++wtp_cache_hits_;
-      return wtp_cache_.front().wtp;
-    }
+  if (const auto* cached = wtp_cache_.Find(key)) {
+    ++wtp_hits_;
+    return *cached;
   }
-  ++wtp_cache_misses_;
+  ++wtp_misses_;
   auto wtp = std::make_shared<const WtpMatrix>(
       WtpMatrix::FromRatings(dataset, lambda));
-  if (options_.wtp_cache_capacity == 0) return wtp;
-  wtp_cache_.push_front(WtpCacheEntry{key, wtp});
-  while (wtp_cache_.size() > options_.wtp_cache_capacity) {
-    wtp_cache_.pop_back();
-  }
+  wtp_cache_.Put(key, wtp);
   return wtp;
 }
 
 Engine::CacheStats Engine::dataset_cache_stats() const {
   MutexLock lock(cache_mu_);
-  return CacheStats{cache_hits_, cache_misses_, cache_.size()};
+  return CacheStats{dataset_hits_, dataset_misses_, dataset_cache_.size()};
 }
 
 Engine::CacheStats Engine::wtp_cache_stats() const {
   MutexLock lock(cache_mu_);
-  return CacheStats{wtp_cache_hits_, wtp_cache_misses_, wtp_cache_.size()};
+  return CacheStats{wtp_hits_, wtp_misses_, wtp_cache_.size()};
 }
 
 Engine::CacheStats Engine::resolve_cache_stats() const {
@@ -138,33 +132,14 @@ Engine::CacheStats Engine::resolve_cache_stats() const {
   return CacheStats{resolve_hits_, resolve_misses_, resolve_cache_.size()};
 }
 
-void Engine::ClearDatasetCache() {
-  MutexLock lock(cache_mu_);
-  cache_.clear();
-  wtp_cache_.clear();
-}
-
 void Engine::EvictMarketCaches(const std::string& market_id) {
-  const std::string resolve_prefix = "market:" + market_id + ";";
-  const std::string wtp_prefix = "market:" + market_id + "@";
-  const auto has_prefix = [](const std::string& key,
-                             const std::string& prefix) {
-    return key.compare(0, prefix.size(), prefix) == 0;
-  };
   {
     MutexLock lock(resolve_mu_);
-    for (auto it = resolve_cache_.begin(); it != resolve_cache_.end();) {
-      it = has_prefix(it->key, resolve_prefix) ? resolve_cache_.erase(it)
-                                               : std::next(it);
-    }
+    resolve_cache_.ErasePrefix(
+        MarketKeyPrefix(market_id, MarketCache::kResolve));
   }
-  {
-    MutexLock lock(cache_mu_);
-    for (auto it = wtp_cache_.begin(); it != wtp_cache_.end();) {
-      it = has_prefix(it->key, wtp_prefix) ? wtp_cache_.erase(it)
-                                           : std::next(it);
-    }
-  }
+  MutexLock lock(cache_mu_);
+  wtp_cache_.ErasePrefix(MarketKeyPrefix(market_id, MarketCache::kWtp));
 }
 
 Status ValidateMethodKey(const std::string& method) {
@@ -204,14 +179,10 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
     problem = *request.problem;
   } else if (request.dataset.has_value()) {
     const DatasetSpec& spec = *request.dataset;
-    if (Status profile = ValidateDatasetProfile(spec.profile); !profile.ok()) {
-      return profile;
-    }
-    if (spec.lambda <= 0.0) {
-      return Status::InvalidArgument("dataset lambda must be positive");
-    }
-    dataset_holder = DatasetFor(spec);
-    wtp_holder = WtpFor(spec, *dataset_holder, spec.lambda);
+    StatusOr<std::shared_ptr<const RatingsDataset>> dataset = Dataset(spec);
+    if (!dataset.ok()) return dataset.status();
+    dataset_holder = *dataset;
+    wtp_holder = WtpFor(DatasetCacheKey(spec), *dataset_holder, spec.lambda);
     problem.wtp = wtp_holder.get();
     problem.theta = request.theta;
     problem.max_bundle_size = request.max_bundle_size;
@@ -271,30 +242,42 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
   response.grid_cells = grid_cells;
   std::shared_ptr<const RatingsDataset> dataset =
       DatasetFor(request.spec.dataset, &response.dataset_cache_hit);
+  response.result = RunGrid(request.spec, cells, *dataset, /*wtp_scope=*/"",
+                            request.options, /*hints=*/nullptr,
+                            request.capture_traces);
+  response.result.wall_seconds = timer.Seconds();
+  return response;
+}
 
+SweepResult Engine::RunGrid(const ScenarioSpec& spec,
+                            const std::vector<SweepCell>& cells,
+                            const RatingsDataset& dataset,
+                            const std::string& wtp_scope,
+                            const RequestOptions& options,
+                            const std::vector<ResolveHints>* hints,
+                            bool capture_traces) {
   SweepRunnerOptions runner_options;
-  runner_options.threads = EffectiveThreads(request.options);
-  runner_options.deadline_seconds = request.options.deadline_seconds;
-  runner_options.capture_traces = request.capture_traces;
+  runner_options.threads = EffectiveThreads(options);
+  runner_options.deadline_seconds = options.deadline_seconds;
+  runner_options.capture_traces = capture_traces;
+  runner_options.hints = hints;
   // Dataset-axis cells regenerate their datasets through the Engine's keyed
   // cache, so repeated sweeps over the same scalability grid materialize
-  // each point once.
+  // each point once. (Resolve rejects dataset axes, so it never calls this.)
   DatasetProvider provider = [this](const DatasetSpec& cell_dataset) {
     return DatasetFor(cell_dataset);
   };
-  // Derived WTP matrices go through the λ-keyed cache, so repeated sweeps
-  // over the same grid skip the FromRatings pass as well as the generation.
-  WtpProvider wtp_provider = [this](const DatasetSpec& cell_dataset,
-                                    const RatingsDataset& cell_data,
-                                    double lambda) {
-    return WtpFor(cell_dataset, cell_data, lambda);
+  // Derived WTP matrices go through the λ-keyed cache, so repeated grids
+  // over the same data skip the FromRatings pass as well as the generation.
+  WtpProvider wtp_provider = [this, &wtp_scope](const DatasetSpec& cell_dataset,
+                                                const RatingsDataset& cell_data,
+                                                double lambda) {
+    return WtpFor(wtp_scope.empty() ? DatasetCacheKey(cell_dataset) : wtp_scope,
+                  cell_data, lambda);
   };
-  response.result =
-      RunSweepCells(request.spec, cells, *dataset, runner_options,
-                    SharedPoolFor(runner_options.threads), provider,
-                    wtp_provider);
-  response.result.wall_seconds = timer.Seconds();
-  return response;
+  return RunSweepCells(spec, cells, dataset, runner_options,
+                       SharedPoolFor(runner_options.threads), provider,
+                       wtp_provider);
 }
 
 StatusOr<std::shared_ptr<const RatingsDataset>> Engine::Dataset(
@@ -329,34 +312,26 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
   // Deadline-limited solves are wall-clock-dependent; never cache them.
   const bool cacheable = request.options.deadline_seconds == 0.0 &&
                          options_.resolve_cache_capacity > 0;
-  const std::string key = "market:" + request.market->id() +
-                          ";spec=" + FormatScenarioSpec(request.spec);
+  const std::string& market_id = request.market->id();
+  const std::string key = MarketKeyPrefix(market_id, MarketCache::kResolve) +
+                          FormatScenarioSpec(request.spec);
 
   // Pull the prior solver state out of the cache entry (or answer outright
   // when the market hasn't moved). The solver cells are *moved* out so the
   // solve below runs without resolve_mu_ held.
-  bool have_solver = false;
   std::uint64_t solver_version = 0;
   std::vector<MatchingPairCache> solver_cells;
   {
     MutexLock lock(resolve_mu_);
-    for (auto it = resolve_cache_.begin(); it != resolve_cache_.end(); ++it) {
-      if (it->key != key) continue;
-      resolve_cache_.splice(resolve_cache_.begin(), resolve_cache_, it);
-      ResolveEntry& entry = resolve_cache_.front();
-      if (cacheable && entry.has_response &&
-          entry.response_version == snap.version) {
+    if (ResolveEntry* entry = resolve_cache_.Find(key)) {
+      if (cacheable && entry->version == snap.version) {
         ++resolve_hits_;
-        ResolveResponse response = entry.response;
+        ResolveResponse response = entry->response;
         response.response_cache_hit = true;
         return response;
       }
-      have_solver = entry.has_solver;
-      solver_version = entry.solver_version;
-      solver_cells = std::move(entry.solver_cells);
-      entry.has_solver = false;
-      entry.solver_cells.clear();
-      break;
+      solver_version = entry->version;
+      solver_cells.swap(entry->solver_cells);  // The entry keeps none.
     }
     ++resolve_misses_;
   }
@@ -371,40 +346,27 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
   // them, and a fill sink when this solve's outcomes are worth keeping.
   // Resolve always runs the full grid, so cell.index indexes `hints`.
   std::vector<char> dirty;
-  if (have_solver) dirty = request.market->ItemsTouchedSince(solver_version);
+  if (!solver_cells.empty()) {
+    dirty = request.market->ItemsTouchedSince(solver_version);
+  }
   std::vector<MatchingPairCache> fills(cells.size());
   std::vector<ResolveHints> hints(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     hints[i].transactions = snap.transactions.get();
     if (cacheable) hints[i].fill = &fills[i];
-    if (have_solver && i < solver_cells.size()) {
+    if (i < solver_cells.size()) {
       hints[i].prior = &solver_cells[i];
       hints[i].dirty_items = &dirty;
     }
   }
 
-  SweepRunnerOptions runner_options;
-  runner_options.threads = EffectiveThreads(request.options);
-  runner_options.deadline_seconds = request.options.deadline_seconds;
-  runner_options.context_hook = [&hints](int cell_index, SolveContext& context) {
-    context.set_resolve_hints(&hints[static_cast<std::size_t>(cell_index)]);
-  };
-  // The market snapshot is the dataset (dataset axes were rejected above, so
-  // every cell borrows the base); WTP matrices are keyed by market id +
-  // version so successive resolves at an unchanged λ reuse the derivation
+  // The market snapshot is the dataset; WTP matrices are keyed by market id
+  // + version so successive resolves at an unchanged λ reuse the derivation
   // only when the data truly didn't move.
-  const std::string market_key =
-      "market:" + request.market->id() + "@v" + std::to_string(snap.version);
-  WtpProvider wtp_provider = [this, &market_key](const DatasetSpec&,
-                                                 const RatingsDataset& data,
-                                                 double lambda) {
-    return WtpForKey(market_key + ";lambda=" + FormatDoubleShortest(lambda),
-                     data, lambda);
-  };
-  response.result = RunSweepCells(request.spec, cells, *snap.dataset,
-                                  runner_options,
-                                  SharedPoolFor(runner_options.threads),
-                                  nullptr, wtp_provider);
+  response.result = RunGrid(request.spec, cells, *snap.dataset,
+                            MarketKeyPrefix(market_id, MarketCache::kWtp) +
+                                std::to_string(snap.version),
+                            request.options, &hints, /*capture_traces=*/false);
   response.result.wall_seconds = timer.Seconds();
   for (const SweepCellResult& cell : response.result.cells) {
     response.pairs_evaluated += cell.stats.pairs_evaluated;
@@ -413,28 +375,8 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
 
   if (cacheable) {
     MutexLock lock(resolve_mu_);
-    ResolveEntry* entry = nullptr;
-    for (auto it = resolve_cache_.begin(); it != resolve_cache_.end(); ++it) {
-      if (it->key == key) {
-        resolve_cache_.splice(resolve_cache_.begin(), resolve_cache_, it);
-        entry = &resolve_cache_.front();
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      resolve_cache_.push_front(ResolveEntry{});
-      entry = &resolve_cache_.front();
-      entry->key = key;
-    }
-    entry->solver_version = snap.version;
-    entry->has_solver = true;
-    entry->solver_cells = std::move(fills);
-    entry->response_version = snap.version;
-    entry->has_response = true;
-    entry->response = response;
-    while (resolve_cache_.size() > options_.resolve_cache_capacity) {
-      resolve_cache_.pop_back();
-    }
+    resolve_cache_.Put(key,
+                       ResolveEntry{snap.version, std::move(fills), response});
   }
   return response;
 }

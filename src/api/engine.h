@@ -9,13 +9,19 @@
 //     spec text, unreadable files, and bad shard ranges all come back as
 //     typed `Status` errors whose messages list the valid alternatives.
 //     BM_CHECK remains for programming errors only.
-//   * Amortized data work. The Engine owns a keyed dataset cache:
-//     repeated sweeps/solves over the same (profile, seed, overrides)
-//     materialize the generated ratings dataset once. A second, λ-keyed
-//     cache holds the WTP matrices derived from those datasets, so
-//     repeated requests at the same (dataset, λ) skip FromRatings too. It
-//     also owns the ThreadPool that sweep cells and batch requests fan
-//     out over.
+//   * Amortized data work. The Engine owns three LRU caches
+//     (util/lru_cache.h). The dataset cache materializes each generated
+//     ratings dataset once per (profile, seed, overrides). The WTP cache
+//     holds the matrices derived from those datasets — or from a market
+//     snapshot — so repeated requests at the same (data, λ) skip
+//     FromRatings too. The resolve cache keeps each (market, spec) line's
+//     last response and pair outcomes for incremental re-solves. The Engine
+//     also owns the ThreadPool that sweep cells and batch requests fan out
+//     over.
+//   * One grid path. Sweep (a generated dataset, optionally sharded) and
+//     Resolve (a market snapshot plus per-cell incremental hints) both run
+//     their cells through one private RunGrid, so the two differ only in
+//     where the data and the hints come from.
 //   * Determinism. Solve/Sweep responses are bit-identical at any thread
 //     count, SolveBatch equals per-request Solve calls, and a sharded sweep
 //     (`--shard=i/n` filtering by stable cell index) solves each of its
@@ -33,7 +39,6 @@
 #define BUNDLEMINE_API_ENGINE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +53,7 @@
 #include "data/wtp_matrix.h"
 #include "scenario/scenario_spec.h"
 #include "scenario/sweep_runner.h"
+#include "util/lru_cache.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -236,9 +242,6 @@ class Engine {
   CacheStats dataset_cache_stats() const EXCLUDES(cache_mu_);
   CacheStats wtp_cache_stats() const EXCLUDES(cache_mu_);
   CacheStats resolve_cache_stats() const EXCLUDES(resolve_mu_);
-  /// Drops both caches (datasets and derived WTP matrices); counters keep
-  /// accumulating.
-  void ClearDatasetCache() EXCLUDES(cache_mu_);
 
   /// Purges every cache entry derived from market `market_id` — its
   /// resolve lines ("market:<id>;spec=...") and its versioned WTP
@@ -251,24 +254,12 @@ class Engine {
   const Options& options() const { return options_; }
 
  private:
-  struct CacheEntry {
-    std::string key;
-    std::shared_ptr<const RatingsDataset> dataset;
-  };
-  struct WtpCacheEntry {
-    std::string key;
-    std::shared_ptr<const WtpMatrix> wtp;
-  };
   /// One (market id, spec) resolve line: the per-cell round-1 pair-outcome
-  /// caches recorded at `solver_version`, plus the last full response for
-  /// same-version short-circuits.
+  /// caches (indexed by cell index; empty once a resolve has taken them)
+  /// and the full response, both recorded at market `version`.
   struct ResolveEntry {
-    std::string key;
-    std::uint64_t solver_version = 0;
-    bool has_solver = false;
-    std::vector<MatchingPairCache> solver_cells;  ///< Indexed by cell index.
-    std::uint64_t response_version = 0;
-    bool has_response = false;
+    std::uint64_t version = 0;
+    std::vector<MatchingPairCache> solver_cells;
     ResolveResponse response;
   };
 
@@ -278,20 +269,26 @@ class Engine {
                                                    bool* hit = nullptr)
       EXCLUDES(cache_mu_);
 
-  // Returns the WTP matrix derived from `dataset` (the materialization of
-  // `spec`) at `lambda`, served through the λ-keyed WTP cache. FromRatings
-  // is a pure function of (dataset, λ), so cached entries are bit-identical
-  // to fresh derivations.
-  std::shared_ptr<const WtpMatrix> WtpFor(const DatasetSpec& spec,
+  // Returns the WTP matrix derived from `dataset` at `lambda`, served
+  // through the WTP cache under "<scope>;lambda=<λ>". `scope` names the
+  // data: the DatasetCacheKey of the spec `dataset` materializes, or a
+  // market id + version. FromRatings is a pure function of (dataset, λ), so
+  // cached entries are bit-identical to fresh derivations.
+  std::shared_ptr<const WtpMatrix> WtpFor(const std::string& scope,
                                           const RatingsDataset& dataset,
                                           double lambda) EXCLUDES(cache_mu_);
 
-  // WtpFor with an explicit cache key (which must already encode λ and the
-  // dataset identity — Resolve keys on the market id + version instead of a
-  // DatasetSpec).
-  std::shared_ptr<const WtpMatrix> WtpForKey(const std::string& key,
-                                             const RatingsDataset& dataset,
-                                             double lambda) EXCLUDES(cache_mu_);
+  // The one grid-execution path behind Sweep and Resolve: RunSweepCells
+  // over the Engine's caches and pool. WTP matrices key on `wtp_scope`, or
+  // on each cell's DatasetCacheKey when it is empty. `hints` (optional) is
+  // SweepRunnerOptions::hints.
+  SweepResult RunGrid(const ScenarioSpec& spec,
+                      const std::vector<SweepCell>& cells,
+                      const RatingsDataset& dataset,
+                      const std::string& wtp_scope,
+                      const RequestOptions& options,
+                      const std::vector<ResolveHints>* hints,
+                      bool capture_traces);
 
   int EffectiveThreads(const RequestOptions& options) const {
     return options.threads > 0 ? options.threads : options_.threads;
@@ -309,20 +306,18 @@ class Engine {
   std::unique_ptr<ThreadPool> pool_;
 
   mutable Mutex cache_mu_;
-  /// Front = most recently used.
-  std::list<CacheEntry> cache_ GUARDED_BY(cache_mu_);
-  std::int64_t cache_hits_ GUARDED_BY(cache_mu_) = 0;
-  std::int64_t cache_misses_ GUARDED_BY(cache_mu_) = 0;
-  /// Front = most recently used.
-  std::list<WtpCacheEntry> wtp_cache_ GUARDED_BY(cache_mu_);
-  std::int64_t wtp_cache_hits_ GUARDED_BY(cache_mu_) = 0;
-  std::int64_t wtp_cache_misses_ GUARDED_BY(cache_mu_) = 0;
+  LruCache<std::shared_ptr<const RatingsDataset>> dataset_cache_
+      GUARDED_BY(cache_mu_);
+  std::int64_t dataset_hits_ GUARDED_BY(cache_mu_) = 0;
+  std::int64_t dataset_misses_ GUARDED_BY(cache_mu_) = 0;
+  LruCache<std::shared_ptr<const WtpMatrix>> wtp_cache_ GUARDED_BY(cache_mu_);
+  std::int64_t wtp_hits_ GUARDED_BY(cache_mu_) = 0;
+  std::int64_t wtp_misses_ GUARDED_BY(cache_mu_) = 0;
 
   /// Guards the resolve cache only; never held while solving (Resolve moves
   /// an entry's solver state out, solves unlocked, and stores it back).
   mutable Mutex resolve_mu_;
-  /// Front = most recently used.
-  std::list<ResolveEntry> resolve_cache_ GUARDED_BY(resolve_mu_);
+  LruCache<ResolveEntry> resolve_cache_ GUARDED_BY(resolve_mu_);
   std::int64_t resolve_hits_ GUARDED_BY(resolve_mu_) = 0;
   std::int64_t resolve_misses_ GUARDED_BY(resolve_mu_) = 0;
 };

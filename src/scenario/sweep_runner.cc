@@ -112,12 +112,11 @@ SweepData BuildSweepData(const ScenarioSpec& spec,
   return data;
 }
 
-// Applies the cell's axis values on top of the spec's base knobs, returning
-// the λ the cell prices against. γ and α compose into one adoption model;
-// dataset axes are handled by CellDatasetSpec, not here.
-double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
-                 BundleConfigProblem* problem) {
-  double lambda = spec.dataset.lambda;
+// Applies the cell's axis values on top of the spec's base knobs. γ and α
+// compose into one adoption model; λ is CellLambda's and dataset axes are
+// CellDatasetSpec's, not problem knobs.
+void ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
+               BundleConfigProblem* problem) {
   bool have_gamma = false, have_alpha = false;
   double gamma = 0.0, alpha = 1.0;
   for (std::size_t a = 0; a < spec.axes.size(); ++a) {
@@ -137,16 +136,14 @@ double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
         have_alpha = true;
         alpha = value;
         break;
-      case AxisKind::kLambda:
-        lambda = value;
-        break;
       case AxisKind::kLevels:
         problem->price_levels = static_cast<int>(value);
         break;
+      case AxisKind::kLambda:
       case AxisKind::kNumUsers:
       case AxisKind::kNumItems:
       case AxisKind::kItemSample:
-        break;  // Dataset axes select the cell dataset, not problem knobs.
+        break;
       case AxisKind::kPruneCoInterest:
         problem->prune_co_interest = value != 0.0;
         break;
@@ -170,7 +167,6 @@ double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
   } else if (have_alpha) {
     problem->adoption = AdoptionModel::StepWithBias(alpha);
   }
-  return lambda;
 }
 
 void RunCell(const ScenarioSpec& spec, const SweepData& data,
@@ -181,10 +177,10 @@ void RunCell(const ScenarioSpec& spec, const SweepData& data,
   problem.max_bundle_size = spec.max_bundle_size;
   problem.price_levels = spec.price_levels;
   problem.adoption = AdoptionModel::Step();
-  double lambda = ApplyAxes(spec, cell, &problem);
+  ApplyAxes(spec, cell, &problem);
   const DatasetEntry& entry =
       data.EntryFor(DatasetKey(CellDatasetSpec(spec, cell)));
-  const WtpMatrix& wtp = entry.WtpFor(lambda);
+  const WtpMatrix& wtp = entry.WtpFor(CellLambda(spec, cell));
   problem.wtp = &wtp;
 
   // Fresh context per cell: the seed depends only on the cell index, so
@@ -197,7 +193,9 @@ void RunCell(const ScenarioSpec& spec, const SweepData& data,
   context_options.seed = CellSeed(spec.dataset.seed, cell.index);
   context_options.deadline_seconds = options.deadline_seconds;
   SolveContext context(context_options);
-  if (options.context_hook) options.context_hook(cell.index, context);
+  if (options.hints != nullptr) {
+    context.set_resolve_hints(&(*options.hints)[cell.index]);
+  }
 
   WallTimer timer;
   BundleSolution solution = SolveMethod(cell.method, problem, context);

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/resolve_hints.h"
 #include "core/solution.h"
 #include "core/solve_context.h"
 #include "data/generator.h"
@@ -90,13 +91,12 @@ struct SweepRunnerOptions {
   /// Trace revenues are deterministic, so captured artifacts stay
   /// byte-identical across thread counts.
   bool capture_traces = false;
-  /// Called with (cell.index, context) after each cell's SolveContext is
-  /// constructed, before the solve. Engine::Resolve attaches per-cell
-  /// ResolveHints here. Cells run concurrently, so the hook must be
-  /// thread-safe; it must not change anything that affects solve *results*
-  /// (hints only redirect where identical numbers come from), or the
-  /// bit-identity guarantee is lost.
-  std::function<void(int, SolveContext&)> context_hook;
+  /// Per-cell incremental-resolve hints (optional), indexed by cell.index:
+  /// there must be an entry for every cell run (Engine::Resolve passes one
+  /// per cell of the full grid). Each cell's SolveContext carries its own
+  /// entry. Hints only redirect where identical numbers come from, never
+  /// what is computed, so results stay bit-identical to a run without them.
+  const std::vector<ResolveHints>* hints = nullptr;
 };
 
 /// Expands the spec's (axis-value × method) grid in canonical order.

@@ -321,8 +321,7 @@ FleetOrchestrator::AttemptOutcome FleetOrchestrator::ExecuteAttempt(
       }
     }
   }
-  if (out.status.code() == StatusCode::kDeadlineExceeded &&
-      options_.probe_stragglers) {
+  if (out.status.code() == StatusCode::kDeadlineExceeded) {
     out.probe = ProbeWorker(worker);
   }
   return out;

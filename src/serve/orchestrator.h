@@ -80,10 +80,6 @@ struct OrchestratorOptions {
   /// Consecutive transport failures (connect refused / hangup / timeout)
   /// before a worker is retired from the fleet.
   int worker_dead_after = 3;
-  /// After an attempt times out, probe the worker with a stats request and
-  /// record whether its sweep gauge says "busy" (in-flight work — a
-  /// straggler) or "idle"/"unreachable" (hung or dead) in the run report.
-  bool probe_stragglers = true;
   /// Engine threads requested per shard sweep (0 = worker default).
   int request_threads = 0;
 };
@@ -173,7 +169,9 @@ class FleetOrchestrator {
   AttemptOutcome ExecuteAttempt(int worker, int shard, int attempt);
   void CompleteAttempt(int worker, const Dispatch& dispatch,
                        AttemptOutcome outcome, double seconds) EXCLUDES(mu_);
-  /// Stats-probe `worker` after a timeout: "busy" / "idle" / "unreachable".
+  /// Stats-probe `worker` after every timed-out attempt: "busy" (its sweep
+  /// gauge shows in-flight work — a straggler), "idle" or "unreachable"
+  /// (hung or dead).
   std::string ProbeWorker(int worker);
   double BackoffSeconds(int attempts_so_far) const;
   JsonValue BuildReport(double wall_seconds) const EXCLUDES(mu_);

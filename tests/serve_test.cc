@@ -1035,26 +1035,66 @@ TEST(ServeTest, LruMarketEvictionKeepsTheCapAndPurgesCaches) {
   std::unique_ptr<BundleServer> server = StartServer(options);
   WireClient client = ConnectTo(*server);
 
-  for (const char* market : {"m1", "m2"}) {
+  const auto load = [&client](const std::string& market) {
     StatusOr<JsonValue> loaded = client.CallJson(
-        std::string(R"({"kind":"update","market":")") + market +
+        R"({"kind":"update","market":")" + market +
         R"(","load":{"profile":"tiny","seed":7,"lambda":1.0}})");
     ASSERT_TRUE(loaded.ok());
     ASSERT_TRUE(loaded->FindMember("ok")->AsBool()) << loaded->Dump(0);
-  }
-  // A third market evicts the LRU idle one (m1).
-  StatusOr<JsonValue> third = client.CallJson(
-      R"({"kind":"update","market":"m3",)"
-      R"("load":{"profile":"tiny","seed":7,"lambda":1.0}})");
-  ASSERT_TRUE(third.ok());
-  ASSERT_TRUE(third->FindMember("ok")->AsBool()) << third->Dump(0);
+  };
+  // The resolve's "incremental" block, or null on a failed call.
+  const auto resolve = [&client](const std::string& market) {
+    StatusOr<JsonValue> resolved = client.CallJson(
+        R"({"kind":"resolve","market":")" + market + R"(","spec":")" +
+        kResolveSpecText + "\"}");
+    EXPECT_TRUE(resolved.ok());
+    if (!resolved.ok()) return JsonValue();
+    EXPECT_TRUE(resolved->FindMember("ok")->AsBool()) << resolved->Dump(0);
+    const JsonValue* incremental = resolved->FindMember("incremental");
+    return incremental == nullptr ? JsonValue() : *incremental;
+  };
+  const auto entries = [&client](const char* cache) -> std::int64_t {
+    StatusOr<JsonValue> stats = client.CallJson(R"({"kind":"stats"})");
+    EXPECT_TRUE(stats.ok());
+    if (!stats.ok()) return -1;
+    return stats->FindMember("stats")
+        ->FindMember(cache)
+        ->FindMember("entries")
+        ->AsInt();
+  };
 
+  // m10 shares m1's id prefix: purging m1 must leave m10's entries alone.
+  for (const char* market : {"m1", "m10"}) {
+    load(market);
+    EXPECT_FALSE(resolve(market).FindMember("response_cache_hit")->AsBool());
+  }
+  // One resolve line and one WTP derivation (base λ) per market.
+  const std::int64_t resolve_before = entries("resolve_cache");
+  const std::int64_t wtp_before = entries("wtp_cache");
+  EXPECT_EQ(resolve_before, 2);
+  EXPECT_EQ(wtp_before, 2);
+
+  // A third market evicts the LRU idle one (m1), purging its caches.
+  load("m3");
   StatusOr<JsonValue> list = client.CallJson(R"({"kind":"market-list"})");
   ASSERT_TRUE(list.ok());
   const JsonValue* markets = list->FindMember("markets");
   ASSERT_EQ(markets->size(), 2u);
-  EXPECT_EQ(markets->at(0).FindMember("id")->AsString(), "m2");
+  EXPECT_EQ(markets->at(0).FindMember("id")->AsString(), "m10");
   EXPECT_EQ(markets->at(1).FindMember("id")->AsString(), "m3");
+  EXPECT_EQ(entries("resolve_cache"), resolve_before - 1);
+  EXPECT_EQ(entries("wtp_cache"), wtp_before - 1);
+
+  // m10's line survived: an unchanged market answers from the cache.
+  EXPECT_TRUE(resolve("m10").FindMember("response_cache_hit")->AsBool());
+
+  // A reloaded m1 (evicting m3, now the LRU) sits at the same version the
+  // old m1 had, yet starts cold: no cached response, no reused pairs.
+  load("m1");
+  const JsonValue cold = resolve("m1");
+  EXPECT_FALSE(cold.FindMember("response_cache_hit")->AsBool());
+  EXPECT_EQ(cold.FindMember("pairs_reused")->AsInt(), 0);
+  EXPECT_GT(cold.FindMember("pairs_evaluated")->AsInt(), 0);
   server->RequestShutdown();
   server->Wait();
 }

@@ -1,5 +1,5 @@
 // Unit tests for util: strings, CSV, flags, RNG, timers, table printing,
-// JSON parsing, Status, and the multi-job ThreadPool.
+// JSON parsing, Status, the LRU cache, and the multi-job ThreadPool.
 
 #include <atomic>
 #include <chrono>
@@ -8,6 +8,7 @@
 #include <latch>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json.h"
+#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -458,6 +460,72 @@ TEST(ThreadPool, DestroyedRightAfterManyJobs) {
   }
   // A pool that never saw a job shuts down cleanly too.
   ThreadPool idle(4);
+}
+
+TEST(LruCache, FindPromotesToMostRecentlyUsed) {
+  LruCache<int> cache(2);
+  cache.Put("a", 1);
+  cache.Put("b", 2);
+  ASSERT_NE(cache.Find("a"), nullptr);  // "b" is now least recently used.
+  cache.Put("c", 3);
+  EXPECT_EQ(cache.Find("b"), nullptr);
+  ASSERT_NE(cache.Find("a"), nullptr);
+  EXPECT_EQ(*cache.Find("a"), 1);
+  EXPECT_EQ(*cache.Find("c"), 3);
+  EXPECT_EQ(cache.Find("missing"), nullptr);
+}
+
+TEST(LruCache, EvictsLeastRecentlyUsedAtCapacity) {
+  const char* const keys[] = {"k0", "k1", "k2", "k3", "k4"};
+  LruCache<int> cache(3);
+  for (int i = 0; i < 5; ++i) cache.Put(keys[i], i);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.Find("k0"), nullptr);
+  EXPECT_EQ(cache.Find("k1"), nullptr);
+  for (int i = 2; i < 5; ++i) {
+    const int* value = cache.Find(keys[i]);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, i);
+  }
+}
+
+TEST(LruCache, CapacityZeroStoresNothing) {
+  LruCache<int> cache(0);
+  cache.Put("a", 1);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Find("a"), nullptr);
+}
+
+TEST(LruCache, PutOnExistingKeyReplacesInPlace) {
+  LruCache<std::string> cache(2);
+  cache.Put("a", "old");
+  cache.Put("b", "b");
+  cache.Put("a", "new");  // Replaces and promotes; "b" is now the LRU end.
+  EXPECT_EQ(cache.size(), 2u);
+  ASSERT_NE(cache.Find("a"), nullptr);
+  EXPECT_EQ(*cache.Find("a"), "new");
+  cache.Put("b", "b2");
+  cache.Put("c", "c");  // Evicts "a": the re-put "b" is more recent.
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Find("a"), nullptr);
+  ASSERT_NE(cache.Find("b"), nullptr);
+  EXPECT_EQ(*cache.Find("b"), "b2");
+}
+
+TEST(LruCache, ErasePrefixDropsOnlyMatchingKeys) {
+  LruCache<int> cache(8);
+  cache.Put("market:m1;spec=x", 1);
+  cache.Put("market:m10;spec=x", 2);
+  cache.Put("market:m1@v3", 3);
+  cache.Put("other", 4);
+  cache.ErasePrefix("market:m1;");
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.Find("market:m1;spec=x"), nullptr);
+  EXPECT_NE(cache.Find("market:m10;spec=x"), nullptr);
+  EXPECT_NE(cache.Find("market:m1@v3"), nullptr);
+  EXPECT_NE(cache.Find("other"), nullptr);
+  cache.ErasePrefix("");  // The empty prefix matches every key.
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace
