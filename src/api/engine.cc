@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -51,7 +52,7 @@ Status ValidateShard(int shard_index, int shard_count) {
 }
 
 // Every cache key derived from a market starts with one of these prefixes:
-// resolve lines are "market:<id>;spec=<spec text>", WTP scopes
+// resolve lines are "market:<id>;spec=<spec text>", WTP and mining scopes
 // "market:<id>@v<version>". EvictMarketCaches erases by exactly these.
 enum class MarketCache { kResolve, kWtp };
 std::string MarketKeyPrefix(const std::string& market_id, MarketCache cache) {
@@ -63,11 +64,17 @@ std::string MarketKeyPrefix(const std::string& market_id, MarketCache cache) {
 
 std::string DatasetCacheKey(const DatasetSpec& spec) { return DatasetKey(spec); }
 
+// Mined itemset collections kept alive, keyed by (data, support count): a
+// freq-support axis with two values occupies two entries. The same size as
+// the sibling caches' defaults.
+constexpr std::size_t kMiningCacheCapacity = 8;
+
 Engine::Engine(const Options& options)
     : options_(options),
       pool_(std::make_unique<ThreadPool>(options.threads)),
       dataset_cache_(options.dataset_cache_capacity),
       wtp_cache_(options.wtp_cache_capacity),
+      mining_cache_(kMiningCacheCapacity),
       resolve_cache_(options.resolve_cache_capacity) {}
 
 Engine::~Engine() = default;
@@ -117,6 +124,65 @@ std::shared_ptr<const WtpMatrix> Engine::WtpFor(const std::string& scope,
   return wtp;
 }
 
+MinedItemsets Engine::ItemsetsFor(const std::string& scope,
+                                  int min_support_count,
+                                  const ItemsetMiner& mine,
+                                  const SolveContext& context) {
+  const std::string key = scope + ";support=" + std::to_string(min_support_count);
+  // A caller with a deadline waits for another caller's mine of the key only
+  // until its own deadline. Then it mines itself, unstored: that mine stops
+  // at once, as its own mine would have stopped at the deadline.
+  const double budget = context.options().deadline_seconds;
+  const auto wait_until =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(budget - context.ElapsedSeconds()));
+  std::shared_ptr<MiningSlot> slot;  // Set when this caller mines for the cache.
+  {
+    MutexLock lock(cache_mu_);
+    while (true) {
+      const auto* cached = mining_cache_.Find(key);
+      if (cached == nullptr) {
+        slot = std::make_shared<MiningSlot>();
+        mining_cache_.Put(key, slot);
+        break;
+      }
+      if ((*cached)->itemsets != nullptr) {
+        ++mining_hits_;
+        return (*cached)->itemsets;
+      }
+      // Another caller is mining the key. Every pass looks the key up
+      // again, so a waiter always sees the slot the cache holds now.
+      if (budget <= 0.0) {
+        mined_cv_.Wait(cache_mu_);
+      } else if (!mined_cv_.WaitUntil(cache_mu_, wait_until)) {
+        break;
+      }
+    }
+  }
+  // A mine takes tens to hundreds of milliseconds, so it never runs under
+  // cache_mu_: other keys and the dataset/WTP lookups do not wait for it.
+  bool complete = false;
+  MinedItemsets itemsets = mine(&complete);
+  MutexLock lock(cache_mu_);
+  ++mining_misses_;
+  if (slot == nullptr) return itemsets;
+  // The result lands only in the slot the cache still holds: an eviction
+  // during the mine drops it. A deadline or max_results stop may miss
+  // maximal sets, so it serves this solve only and its slot leaves the
+  // cache; a waiter then takes the key over.
+  if (const auto* cached = mining_cache_.Find(key);
+      cached != nullptr && *cached == slot) {
+    if (complete) {
+      slot->itemsets = itemsets;
+    } else {
+      mining_cache_.Erase(key);
+    }
+  }
+  mined_cv_.NotifyAll();
+  return itemsets;
+}
+
 Engine::CacheStats Engine::dataset_cache_stats() const {
   MutexLock lock(cache_mu_);
   return CacheStats{dataset_hits_, dataset_misses_, dataset_cache_.size()};
@@ -125,6 +191,11 @@ Engine::CacheStats Engine::dataset_cache_stats() const {
 Engine::CacheStats Engine::wtp_cache_stats() const {
   MutexLock lock(cache_mu_);
   return CacheStats{wtp_hits_, wtp_misses_, wtp_cache_.size()};
+}
+
+Engine::CacheStats Engine::mining_cache_stats() const {
+  MutexLock lock(cache_mu_);
+  return CacheStats{mining_hits_, mining_misses_, mining_cache_.size()};
 }
 
 Engine::CacheStats Engine::resolve_cache_stats() const {
@@ -139,7 +210,9 @@ void Engine::EvictMarketCaches(const std::string& market_id) {
         MarketKeyPrefix(market_id, MarketCache::kResolve));
   }
   MutexLock lock(cache_mu_);
-  wtp_cache_.ErasePrefix(MarketKeyPrefix(market_id, MarketCache::kWtp));
+  const std::string data_prefix = MarketKeyPrefix(market_id, MarketCache::kWtp);
+  wtp_cache_.ErasePrefix(data_prefix);
+  mining_cache_.ErasePrefix(data_prefix);
 }
 
 Status ValidateMethodKey(const std::string& method) {
@@ -172,6 +245,9 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
   BundleConfigProblem problem;
   std::shared_ptr<const RatingsDataset> dataset_holder;
   std::shared_ptr<const WtpMatrix> wtp_holder;
+  // Only a dataset reference names its data, so only it can share mines;
+  // a caller-owned problem mines locally.
+  std::string data_scope;
   if (request.problem != nullptr) {
     if (request.problem->wtp == nullptr) {
       return Status::InvalidArgument("SolveRequest problem has no WTP matrix");
@@ -182,7 +258,8 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
     StatusOr<std::shared_ptr<const RatingsDataset>> dataset = Dataset(spec);
     if (!dataset.ok()) return dataset.status();
     dataset_holder = *dataset;
-    wtp_holder = WtpFor(DatasetCacheKey(spec), *dataset_holder, spec.lambda);
+    data_scope = DatasetCacheKey(spec);
+    wtp_holder = WtpFor(data_scope, *dataset_holder, spec.lambda);
     problem.wtp = wtp_holder.get();
     problem.theta = request.theta;
     problem.max_bundle_size = request.max_bundle_size;
@@ -197,6 +274,15 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
   context_options.seed = request.options.seed;
   context_options.deadline_seconds = request.options.deadline_seconds;
   SolveContext context(context_options);
+  const ItemsetProvider itemset_provider =
+      [this](const SolveContext& solve_context, int min_support_count,
+             const ItemsetMiner& mine) {
+        return ItemsetsFor(solve_context.data_scope(), min_support_count, mine,
+                           solve_context);
+      };
+  if (!data_scope.empty()) {
+    context.set_itemset_provider(&itemset_provider, data_scope);
+  }
 
   WallTimer timer;
   SolveResponse response;
@@ -242,7 +328,7 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
   response.grid_cells = grid_cells;
   std::shared_ptr<const RatingsDataset> dataset =
       DatasetFor(request.spec.dataset, &response.dataset_cache_hit);
-  response.result = RunGrid(request.spec, cells, *dataset, /*wtp_scope=*/"",
+  response.result = RunGrid(request.spec, cells, *dataset, /*data_scope=*/"",
                             request.options, /*hints=*/nullptr,
                             request.capture_traces);
   response.result.wall_seconds = timer.Seconds();
@@ -252,7 +338,7 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
 SweepResult Engine::RunGrid(const ScenarioSpec& spec,
                             const std::vector<SweepCell>& cells,
                             const RatingsDataset& dataset,
-                            const std::string& wtp_scope,
+                            const std::string& data_scope,
                             const RequestOptions& options,
                             const std::vector<ResolveHints>* hints,
                             bool capture_traces) {
@@ -269,15 +355,25 @@ SweepResult Engine::RunGrid(const ScenarioSpec& spec,
   };
   // Derived WTP matrices go through the λ-keyed cache, so repeated grids
   // over the same data skip the FromRatings pass as well as the generation.
-  WtpProvider wtp_provider = [this, &wtp_scope](const DatasetSpec& cell_dataset,
-                                                const RatingsDataset& cell_data,
-                                                double lambda) {
-    return WtpFor(wtp_scope.empty() ? DatasetCacheKey(cell_dataset) : wtp_scope,
+  WtpProvider wtp_provider = [this, &data_scope](const DatasetSpec& cell_dataset,
+                                                 const RatingsDataset& cell_data,
+                                                 double lambda) {
+    return WtpFor(data_scope.empty() ? DatasetCacheKey(cell_dataset) : data_scope,
                   cell_data, lambda);
+  };
+  // Freq cells' mines go through the support-keyed cache: every θ/γ/α/k/λ
+  // point of one dataset shares one mine. A cell's context names its
+  // dataset by DatasetKey, which is DatasetCacheKey.
+  ItemsetProvider itemset_provider = [this, &data_scope](
+                                         const SolveContext& context,
+                                         int min_support_count,
+                                         const ItemsetMiner& mine) {
+    return ItemsetsFor(data_scope.empty() ? context.data_scope() : data_scope,
+                       min_support_count, mine, context);
   };
   return RunSweepCells(spec, cells, dataset, runner_options,
                        SharedPoolFor(runner_options.threads), provider,
-                       wtp_provider);
+                       wtp_provider, itemset_provider);
 }
 
 StatusOr<std::shared_ptr<const RatingsDataset>> Engine::Dataset(
@@ -360,9 +456,9 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
     }
   }
 
-  // The market snapshot is the dataset; WTP matrices are keyed by market id
-  // + version so successive resolves at an unchanged λ reuse the derivation
-  // only when the data truly didn't move.
+  // The market snapshot is the dataset; WTP matrices and mines are keyed by
+  // market id + version so successive resolves reuse them only when the
+  // data truly didn't move.
   response.result = RunGrid(request.spec, cells, *snap.dataset,
                             MarketKeyPrefix(market_id, MarketCache::kWtp) +
                                 std::to_string(snap.version),

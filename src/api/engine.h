@@ -9,15 +9,21 @@
 //     spec text, unreadable files, and bad shard ranges all come back as
 //     typed `Status` errors whose messages list the valid alternatives.
 //     BM_CHECK remains for programming errors only.
-//   * Amortized data work. The Engine owns three LRU caches
+//   * Amortized data work. The Engine owns four LRU caches
 //     (util/lru_cache.h). The dataset cache materializes each generated
 //     ratings dataset once per (profile, seed, overrides). The WTP cache
 //     holds the matrices derived from those datasets — or from a market
 //     snapshot — so repeated requests at the same (data, λ) skip
-//     FromRatings too. The resolve cache keeps each (market, spec) line's
-//     last response and pair outcomes for incremental re-solves. The Engine
-//     also owns the ThreadPool that sweep cells and batch requests fan out
-//     over.
+//     FromRatings too. The mining cache holds the FreqItemset bundlers'
+//     maximal frequent itemsets per (data, support count): the same data
+//     scope as the WTP cache, minus λ, because the mined transactions
+//     (which items each user has positive WTP for) do not depend on λ. So
+//     every freq cell of a θ/γ/α/k/λ grid and every repeat request mines
+//     once; only complete mines are stored, and a caller never waits on
+//     another caller's mine past its own deadline. The resolve cache keeps
+//     each (market, spec) line's last response and pair outcomes for
+//     incremental re-solves. The Engine also owns the ThreadPool that sweep
+//     cells and batch requests fan out over.
 //   * One grid path. Sweep (a generated dataset, optionally sharded) and
 //     Resolve (a market snapshot plus per-cell incremental hints) both run
 //     their cells through one private RunGrid, so the two differ only in
@@ -232,8 +238,8 @@ class Engine {
   /// never cached (their results are wall-clock-dependent).
   StatusOr<ResolveResponse> Resolve(const ResolveRequest& request);
 
-  /// Cache observability (tests, ops endpoints) — shared by the dataset
-  /// cache and the derived-WTP cache.
+  /// Cache observability (tests, ops endpoints), one shape for every
+  /// cache. A mining-cache miss means one mine ran.
   struct CacheStats {
     std::int64_t hits = 0;
     std::int64_t misses = 0;
@@ -241,13 +247,15 @@ class Engine {
   };
   CacheStats dataset_cache_stats() const EXCLUDES(cache_mu_);
   CacheStats wtp_cache_stats() const EXCLUDES(cache_mu_);
+  CacheStats mining_cache_stats() const EXCLUDES(cache_mu_);
   CacheStats resolve_cache_stats() const EXCLUDES(resolve_mu_);
 
   /// Purges every cache entry derived from market `market_id` — its
   /// resolve lines ("market:<id>;spec=...") and its versioned WTP
-  /// derivations ("market:<id>@v..."). The market-registry eviction hook:
-  /// once a market leaves residency, a later market under the same id must
-  /// start from a cold cache, never inherit the old market's work.
+  /// derivations and mines ("market:<id>@v..."). The market-registry
+  /// eviction hook: once a market leaves residency, a later market under the
+  /// same id must start from a cold cache, never inherit the old market's
+  /// work.
   void EvictMarketCaches(const std::string& market_id)
       EXCLUDES(cache_mu_, resolve_mu_);
 
@@ -278,14 +286,30 @@ class Engine {
                                           const RatingsDataset& dataset,
                                           double lambda) EXCLUDES(cache_mu_);
 
+  // One mining-cache entry. The caller that puts the slot in mines without
+  // any lock; concurrent callers of the key wait on mined_cv_ for its
+  // result instead of mining again. Read and written under cache_mu_.
+  struct MiningSlot {
+    MinedItemsets itemsets;  ///< Null until a complete mine.
+  };
+
+  // The ItemsetProvider behind every Engine solve: the mining cache under
+  // "<scope>;support=<count>", `scope` being WtpFor's. A miss runs `mine`
+  // once and stores the result only if the mine was complete. A caller
+  // waits for another caller's mine of the key at most until the deadline
+  // of its own `context`.
+  MinedItemsets ItemsetsFor(const std::string& scope, int min_support_count,
+                            const ItemsetMiner& mine,
+                            const SolveContext& context) EXCLUDES(cache_mu_);
+
   // The one grid-execution path behind Sweep and Resolve: RunSweepCells
-  // over the Engine's caches and pool. WTP matrices key on `wtp_scope`, or
-  // on each cell's DatasetCacheKey when it is empty. `hints` (optional) is
-  // SweepRunnerOptions::hints.
+  // over the Engine's caches and pool. WTP matrices and mines key on
+  // `data_scope`, or on each cell's DatasetCacheKey when it is empty.
+  // `hints` (optional) is SweepRunnerOptions::hints.
   SweepResult RunGrid(const ScenarioSpec& spec,
                       const std::vector<SweepCell>& cells,
                       const RatingsDataset& dataset,
-                      const std::string& wtp_scope,
+                      const std::string& data_scope,
                       const RequestOptions& options,
                       const std::vector<ResolveHints>* hints,
                       bool capture_traces);
@@ -313,6 +337,10 @@ class Engine {
   LruCache<std::shared_ptr<const WtpMatrix>> wtp_cache_ GUARDED_BY(cache_mu_);
   std::int64_t wtp_hits_ GUARDED_BY(cache_mu_) = 0;
   std::int64_t wtp_misses_ GUARDED_BY(cache_mu_) = 0;
+  LruCache<std::shared_ptr<MiningSlot>> mining_cache_ GUARDED_BY(cache_mu_);
+  CondVar mined_cv_;  ///< Signaled whenever a mine for a mining slot ends.
+  std::int64_t mining_hits_ GUARDED_BY(cache_mu_) = 0;
+  std::int64_t mining_misses_ GUARDED_BY(cache_mu_) = 0;
 
   /// Guards the resolve cache only; never held while solving (Resolve moves
   /// an entry's solver state out, solves unlocked, and stores it back).

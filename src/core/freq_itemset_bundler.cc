@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "core/resolve_hints.h"
 #include "mining/mafia.h"
@@ -54,19 +55,10 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
         mixed.BuildStandalonePayments(item_raw.back(), 1.0, item_priced.back().price));
   }
 
-  // Mine maximal frequent itemsets as candidate bundles. An incremental
-  // resolve supplies the market's maintained transaction view instead of a
-  // per-cell rebuild: WTP positivity (w = (stars/5)·λ·price, stars > 0,
-  // price > 0) is λ-independent, so the one maintained index matches
-  // FromWtp(wtp) bit-for-bit in every λ cell.
-  const ResolveHints* hints = context.resolve_hints();
-  const TransactionDb* hinted = hints != nullptr ? hints->transactions : nullptr;
-  const bool use_hint = hinted != nullptr &&
-                        hinted->num_items() == wtp.num_items() &&
-                        hinted->num_transactions() == wtp.num_users();
-  TransactionDb local_db;
-  if (!use_hint) local_db = TransactionDb::FromWtp(wtp);
-  const TransactionDb& db = use_hint ? *hinted : local_db;
+  // Mine maximal frequent itemsets as candidate bundles. The mine depends
+  // only on the transactions and the support count, so a context provider
+  // (the Engine's mining cache) may answer it from an earlier solve of the
+  // same data; without one, or on the provider's miss, `mine` runs here.
   MinerLimits limits;
   // The paper's 0.1% threshold is ⌈0.001 · 4449⌉ = 5 transactions on the
   // Amazon data; the absolute floor keeps that effective count on smaller
@@ -82,9 +74,30 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
   // Deadline coverage inside the mine itself: freq cells used to run the
   // miners unbounded and only honour the deadline between candidate
   // evaluations. A stopped mine yields fewer candidates; the configuration
-  // assembled below stays structurally valid.
+  // assembled below stays structurally valid. It also reports incomplete,
+  // so a provider never stores it.
   limits.should_stop = DeadlineStopCondition(context);
-  const std::vector<FrequentItemset> itemsets = MineMaximalFrequent(db, limits);
+  const ItemsetMiner mine = [&](bool* complete) -> MinedItemsets {
+    // An incremental resolve supplies the market's maintained transaction
+    // view instead of a per-cell rebuild: WTP positivity (w = (stars/5)·λ·
+    // price, stars > 0, price > 0) is λ-independent, so the one maintained
+    // index matches FromWtp(wtp) bit-for-bit in every λ cell.
+    const ResolveHints* hints = context.resolve_hints();
+    const TransactionDb* hinted =
+        hints != nullptr ? hints->transactions : nullptr;
+    const bool use_hint = hinted != nullptr &&
+                          hinted->num_items() == wtp.num_items() &&
+                          hinted->num_transactions() == wtp.num_users();
+    TransactionDb local_db;
+    if (!use_hint) local_db = TransactionDb::FromWtp(wtp);
+    return std::make_shared<const std::vector<FrequentItemset>>(
+        MineMaximalFrequent(use_hint ? *hinted : local_db, limits, complete));
+  };
+  const ItemsetProvider* provider = context.itemset_provider();
+  const MinedItemsets mined =
+      provider != nullptr ? (*provider)(context, limits.min_support_count, mine)
+                          : mine(nullptr);
+  const std::vector<FrequentItemset>& itemsets = *mined;
 
   // Evaluate candidates (size ≥ 2 only; size-1 candidates are the items).
   std::vector<Candidate> candidates;

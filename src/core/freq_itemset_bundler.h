@@ -11,6 +11,25 @@
 // Pure variant: gain = standalone bundle revenue − Σ component revenues.
 // Mixed variant: gain = incremental mixed-bundling gain of offering the
 // itemset alongside all of its component items (MultiMergeGain).
+//
+// The mine is the expensive step, and it depends only on the transactions
+// (which items each consumer has positive WTP for — λ-independent) and the
+// absolute support count max(5, ⌈freq_min_support · users⌉); θ, γ, α, k,
+// λ, the price grid and pure vs mixed do not enter it. So the bundler asks
+// the context's ItemsetProvider (core/solve_context.h), when one is set, for
+// the itemsets of the context's data scope at that support count, handing
+// it a miner to call on a miss. The provider contract:
+//   * it returns exactly what the miner would return for the solve's
+//     transactions at that count — it keys on the data (never on λ) and the
+//     count, and nothing else;
+//   * it stores a result only when the miner reports the mine complete. A
+//     mine stopped by the deadline or by MinerLimits::max_results holds only
+//     frequent sets but may miss maximal ones, so an incomplete mine is never
+//     stored and never served to a later solve;
+//   * it never keeps a solve waiting on another solve's mine past the
+//     solve's own deadline.
+// Without a provider (library callers with their own problem, the perfbench
+// ladder, tests) the bundler mines locally.
 
 #ifndef BUNDLEMINE_CORE_FREQ_ITEMSET_BUNDLER_H_
 #define BUNDLEMINE_CORE_FREQ_ITEMSET_BUNDLER_H_

@@ -4,9 +4,11 @@
 // statement itself: a pool of PricingWorkspaces (one per worker thread, so
 // the pricing hot path never allocates), a deterministic Rng, an optional
 // wall-clock deadline, a stats sink, and an optional thread pool for
-// parallel candidate evaluation. Algorithms receive the context through
-// Bundler::Solve; the single-argument Solve overload constructs a default
-// (serial, no-deadline) context, so casual callers never see this type.
+// parallel candidate evaluation, plus two optional borrowed inputs from the
+// caller: incremental-resolve hints and a provider of already-mined
+// itemsets. Algorithms receive the context through Bundler::Solve; the
+// single-argument Solve overload constructs a default (serial, no-deadline)
+// context, so casual callers never see this type.
 //
 // A context may be reused across sequential solves (workspace buffers stay
 // warm, the Rng stream continues) but must not be shared by concurrent
@@ -18,6 +20,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pricing/pricing_workspace.h"
@@ -28,6 +32,24 @@
 namespace bundlemine {
 
 struct ResolveHints;  // core/resolve_hints.h
+struct FrequentItemset;  // mining/transactions.h
+class SolveContext;
+
+/// A mine's maximal frequent itemsets, shared read-only by the solves that
+/// reuse them.
+using MinedItemsets = std::shared_ptr<const std::vector<FrequentItemset>>;
+
+/// Runs one mine; when `complete` is non-null, sets it to whether the mine
+/// ran to the end (see MineMaximalFrequent).
+using ItemsetMiner = std::function<MinedItemsets(bool* complete)>;
+
+/// Supplies the maximal frequent itemsets of the data `context.data_scope()`
+/// names at `min_support_count`, calling `mine` when it holds none. The
+/// context also carries the solve's deadline, past which the provider must
+/// not keep the solve waiting. The contract is FreqItemsetBundler's
+/// (core/freq_itemset_bundler.h).
+using ItemsetProvider = std::function<MinedItemsets(
+    const SolveContext& context, int min_support_count, const ItemsetMiner& mine)>;
 
 /// Counters a solve fills in as it runs. Written only from the coordinating
 /// thread (parallel sections report batch totals after joining), so plain
@@ -103,9 +125,24 @@ class SolveContext {
   const ResolveHints* resolve_hints() const { return resolve_hints_; }
   void set_resolve_hints(const ResolveHints* hints) { resolve_hints_ = hints; }
 
+  /// Where the FreqItemset bundlers get their mined itemsets (the Engine's
+  /// mining cache), or nullptr to mine locally, and the name of the data
+  /// the problem's WTP matrix derives from, which the provider keys on.
+  /// The provider is borrowed — the setter (the sweep runner's cell loop,
+  /// Engine::Solve) keeps it alive through the solve.
+  const ItemsetProvider* itemset_provider() const { return itemset_provider_; }
+  const std::string& data_scope() const { return data_scope_; }
+  void set_itemset_provider(const ItemsetProvider* provider,
+                            std::string data_scope) {
+    itemset_provider_ = provider;
+    data_scope_ = std::move(data_scope);
+  }
+
  private:
   Options options_;
   const ResolveHints* resolve_hints_ = nullptr;
+  const ItemsetProvider* itemset_provider_ = nullptr;
+  std::string data_scope_;
   std::unique_ptr<ThreadPool> pool_;  // Null when serial.
   std::vector<std::unique_ptr<PricingWorkspace>> workspaces_;
   Rng rng_;

@@ -38,10 +38,13 @@ class MfiStore {
     return false;
   }
 
+  // True once the store holds max_results live sets: the next Insert would
+  // pass the cap.
+  bool Full() const { return live_ >= max_results_; }
+
   // Inserts a new maximal set, tombstoning any stored strict subsets.
+  // Requires !Full().
   void Insert(std::vector<int> items, int support) {
-    BM_CHECK_MSG(live_ < max_results_,
-                 "maximal miner result explosion; raise min support");
     // Collect stored sets that could be subsets: they appear in a postings
     // list of one of the new set's items.
     for (int item : items) {
@@ -81,6 +84,9 @@ struct MafiaState {
   const TransactionDb* db;
   MinerLimits limits;
   MfiStore store;
+  // Set when the mine ends early (should_stop fired or the store hit
+  // max_results); every DFS node returns at once from then on.
+  bool stopped = false;
 
   MafiaState(const TransactionDb& database, const MinerLimits& lim)
       : db(&database), limits(lim),
@@ -90,6 +96,10 @@ struct MafiaState {
 void EmitMaximal(MafiaState* st, std::vector<int> items, int support) {
   std::sort(items.begin(), items.end());
   if (st->store.Subsumes(items)) return;
+  if (st->store.Full()) {
+    st->stopped = true;  // Capped: stop the search, keep what is stored.
+    return;
+  }
   st->store.Insert(std::move(items), support);
 }
 
@@ -100,7 +110,11 @@ void Mine(MafiaState* st, std::vector<int>* head, const Bitset& head_bm,
   // Cooperative stop per DFS node: the MFI store only ever holds frequent
   // sets, so abandoning the rest of the lattice leaves a valid (if
   // incomplete) maximal collection behind.
-  if (st->limits.should_stop && st->limits.should_stop()) return;
+  if (st->stopped) return;
+  if (st->limits.should_stop && st->limits.should_stop()) {
+    st->stopped = true;
+    return;
+  }
 
   const int minsup = st->limits.min_support_count;
   const int max_size = st->limits.max_itemset_size;
@@ -162,7 +176,7 @@ void Mine(MafiaState* st, std::vector<int>* head, const Bitset& head_bm,
 
   bool any_child = false;
   std::vector<int> probe;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  for (std::size_t i = 0; i < entries.size() && !st->stopped; ++i) {
     // HUTMFI pruning: skip the branch when head ∪ {x_i} ∪ rest-of-tail is
     // already covered by a known maximal set.
     probe = *head;
@@ -193,9 +207,11 @@ void Mine(MafiaState* st, std::vector<int>* head, const Bitset& head_bm,
 }  // namespace
 
 std::vector<FrequentItemset> MineMaximalFrequent(const TransactionDb& db,
-                                                 const MinerLimits& limits) {
+                                                 const MinerLimits& limits,
+                                                 bool* complete) {
   BM_CHECK_GE(limits.min_support_count, 1);
   MafiaState st(db, limits);
+  if (complete != nullptr) *complete = true;
 
   std::vector<int> tail;
   for (int i = 0; i < db.num_items(); ++i) {
@@ -209,6 +225,7 @@ std::vector<FrequentItemset> MineMaximalFrequent(const TransactionDb& db,
   }
   std::vector<int> head;
   Mine(&st, &head, all_transactions, db.num_transactions(), std::move(tail));
+  if (complete != nullptr) *complete = !st.stopped;
 
   std::vector<FrequentItemset> mfi = st.store.TakeLive();
   std::sort(mfi.begin(), mfi.end(),

@@ -30,7 +30,9 @@ namespace bundlemine {
 struct MinerLimits {
   int min_support_count = 2;     ///< Absolute support threshold (≥ 1).
   int max_itemset_size = 0;      ///< 0 = unlimited.
-  std::size_t max_results = 200000;  ///< Safety valve; abort past this.
+  /// Safety valve: the mine stops (reporting incomplete) rather than store
+  /// more than this many maximal sets.
+  std::size_t max_results = 200000;
   /// Optional cooperative cancellation, checked once per DFS node.
   /// Returning true ends the mine early: every itemset already emitted is
   /// genuinely frequent, but the collection is no longer maximal-complete.
@@ -42,8 +44,12 @@ struct MinerLimits {
 /// Mines all maximal frequent itemsets of `db` at limits.min_support_count.
 /// limits.max_itemset_size additionally caps itemset cardinality (0 = none),
 /// in which case the result is the maximal frequent sets of size ≤ cap.
+/// `complete` (optional) reports whether the mine ran to the end: false when
+/// should_stop fired or max_results was reached, in which case the result
+/// holds only frequent sets but may miss maximal ones.
 std::vector<FrequentItemset> MineMaximalFrequent(const TransactionDb& db,
-                                                 const MinerLimits& limits);
+                                                 const MinerLimits& limits,
+                                                 bool* complete = nullptr);
 
 }  // namespace bundlemine
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "core/bundler_registry.h"
 #include "util/check.h"
@@ -338,9 +340,15 @@ bool ValidateAxisValues(const ScenarioAxis& axis, std::string* error) {
     }
     switch (axis.kind) {
       case AxisKind::kTheta:
+        break;  // Any finite double.
       case AxisKind::kGamma:
       case AxisKind::kAlpha:
-        break;  // Any finite double.
+        // The adoption model needs γ, α > 0.
+        if (value <= 0.0) {
+          return Fail(error, "axis '" + name + "' needs positive values, got " +
+                                 FormatDoubleShortest(value));
+        }
+        break;
       case AxisKind::kLambda:
         if (value <= 0.0) {
           return Fail(error, "axis 'lambda' needs positive values, got " +
@@ -389,6 +397,20 @@ bool ValidateAxisValues(const ScenarioAxis& axis, std::string* error) {
 bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
   if (!KnownProfile(spec.dataset.profile)) {
     return Fail(error, "unknown dataset profile '" + spec.dataset.profile + "'");
+  }
+  // Every scalar double key must be finite: a NaN would otherwise reach the
+  // solvers and the artifact writer, which refuses non-finite numbers.
+  const std::pair<const char*, std::optional<double>> scalars[] = {
+      {"lambda", spec.dataset.lambda},
+      {"theta", spec.theta},
+      {"activity-sigma", spec.dataset.activity_sigma},
+      {"background-mass", spec.dataset.background_mass},
+      {"popularity-exponent", spec.dataset.popularity_exponent},
+  };
+  for (const auto& [key, value] : scalars) {
+    if (value && !std::isfinite(*value)) {
+      return Fail(error, std::string(key) + " must be finite");
+    }
   }
   if (spec.dataset.lambda <= 0.0) return Fail(error, "lambda must be positive");
   if (spec.dataset.num_users && *spec.dataset.num_users <= 0) {

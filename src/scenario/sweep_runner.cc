@@ -170,7 +170,8 @@ void ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
 }
 
 void RunCell(const ScenarioSpec& spec, const SweepData& data,
-             const SweepRunnerOptions& options, const SweepCell& cell,
+             const SweepRunnerOptions& options,
+             const ItemsetProvider& itemset_provider, const SweepCell& cell,
              int inner_threads, SweepCellResult* result) {
   BundleConfigProblem problem;
   problem.theta = spec.theta;
@@ -178,8 +179,8 @@ void RunCell(const ScenarioSpec& spec, const SweepData& data,
   problem.price_levels = spec.price_levels;
   problem.adoption = AdoptionModel::Step();
   ApplyAxes(spec, cell, &problem);
-  const DatasetEntry& entry =
-      data.EntryFor(DatasetKey(CellDatasetSpec(spec, cell)));
+  const std::string data_key = DatasetKey(CellDatasetSpec(spec, cell));
+  const DatasetEntry& entry = data.EntryFor(data_key);
   const WtpMatrix& wtp = entry.WtpFor(CellLambda(spec, cell));
   problem.wtp = &wtp;
 
@@ -195,6 +196,9 @@ void RunCell(const ScenarioSpec& spec, const SweepData& data,
   SolveContext context(context_options);
   if (options.hints != nullptr) {
     context.set_resolve_hints(&(*options.hints)[cell.index]);
+  }
+  if (itemset_provider) {
+    context.set_itemset_provider(&itemset_provider, data_key);
   }
 
   WallTimer timer;
@@ -347,7 +351,8 @@ SweepResult RunSweepCells(const ScenarioSpec& spec,
                           const RatingsDataset& dataset,
                           const SweepRunnerOptions& options, ThreadPool* pool,
                           const DatasetProvider& provider,
-                          const WtpProvider& wtp_provider) {
+                          const WtpProvider& wtp_provider,
+                          const ItemsetProvider& itemset_provider) {
   WallTimer total_timer;
   SweepData data = BuildSweepData(spec, cells, dataset, provider, wtp_provider);
 
@@ -368,7 +373,7 @@ SweepResult RunSweepCells(const ScenarioSpec& spec,
     inner_threads = options.threads / static_cast<int>(cells.size());
   }
   auto run_cell = [&](std::size_t index, int /*slot*/) {
-    RunCell(spec, data, options, cells[index], inner_threads,
+    RunCell(spec, data, options, itemset_provider, cells[index], inner_threads,
             &result.cells[index]);
   };
   if (pool != nullptr) {

@@ -172,17 +172,21 @@ void RecomputeComponentGains(SweepResult* result);
 /// when that cell is present in `cells`. `pool` (optional) supplies the
 /// workers; when null a private pool of options.threads is used.
 /// `wtp_provider` (optional) serves the per-(dataset, λ) WTP matrices — the
-/// Engine passes its λ-keyed cache. When the cell list is smaller than
-/// `options.threads`, the surplus workers move inside the cells: each
-/// cell's SolveContext gets ⌊threads / cells⌋ candidate-evaluation threads
-/// (results are bit-identical at any width, so this only changes wall time).
+/// Engine passes its λ-keyed cache — and `itemset_provider` (optional) the
+/// freq cells' mined itemsets, each cell's data scope being the DatasetKey
+/// of its dataset; without it each freq cell mines. When the cell list is
+/// smaller than `options.threads`, the surplus workers move inside the
+/// cells: each cell's SolveContext gets ⌊threads / cells⌋
+/// candidate-evaluation threads (results are bit-identical at any width, so
+/// this only changes wall time).
 SweepResult RunSweepCells(const ScenarioSpec& spec,
                           const std::vector<SweepCell>& cells,
                           const RatingsDataset& dataset,
                           const SweepRunnerOptions& options = {},
                           ThreadPool* pool = nullptr,
                           const DatasetProvider& provider = nullptr,
-                          const WtpProvider& wtp_provider = nullptr);
+                          const WtpProvider& wtp_provider = nullptr,
+                          const ItemsetProvider& itemset_provider = nullptr);
 
 }  // namespace bundlemine
 

@@ -107,6 +107,15 @@ bool ReadBoundedLine(std::istream& in, std::string* line, std::size_t cap) {
   return !line->empty();  // Deliver a final unterminated line before EOF.
 }
 
+// One Engine cache's stats block: {"hits", "misses", "entries"}.
+JsonValue CacheStatsJson(const Engine::CacheStats& stats) {
+  JsonValue out = JsonValue::Object();
+  out.Set("hits", JsonValue::Int(stats.hits));
+  out.Set("misses", JsonValue::Int(stats.misses));
+  out.Set("entries", JsonValue::Int(static_cast<std::int64_t>(stats.entries)));
+  return out;
+}
+
 }  // namespace
 
 BundleServer::BundleServer(const ServeOptions& options)
@@ -583,6 +592,7 @@ JsonValue BundleServer::StatsJson() {
   // v2 added "market" (stream state), "resolve_cache", and per-session
   // request counters; v3 adds the multi-tenant view: "markets" (every
   // resident stream) and "tenants" (per-tenant ownership/denial counters).
+  // "mining_cache" joined v3 later; additive, so the version stayed.
   out.Set("schema_version", JsonValue::Int(3));
   JsonValue server = JsonValue::Object();
   server.Set("queue_capacity",
@@ -668,27 +678,10 @@ JsonValue BundleServer::StatsJson() {
     }
   }
   out.Set("requests", metrics_.ToJson());
-  const Engine::CacheStats cache = engine_.dataset_cache_stats();
-  JsonValue cache_json = JsonValue::Object();
-  cache_json.Set("hits", JsonValue::Int(cache.hits));
-  cache_json.Set("misses", JsonValue::Int(cache.misses));
-  cache_json.Set("entries",
-                 JsonValue::Int(static_cast<std::int64_t>(cache.entries)));
-  out.Set("dataset_cache", std::move(cache_json));
-  const Engine::CacheStats wtp = engine_.wtp_cache_stats();
-  JsonValue wtp_json = JsonValue::Object();
-  wtp_json.Set("hits", JsonValue::Int(wtp.hits));
-  wtp_json.Set("misses", JsonValue::Int(wtp.misses));
-  wtp_json.Set("entries",
-               JsonValue::Int(static_cast<std::int64_t>(wtp.entries)));
-  out.Set("wtp_cache", std::move(wtp_json));
-  const Engine::CacheStats resolve = engine_.resolve_cache_stats();
-  JsonValue resolve_json = JsonValue::Object();
-  resolve_json.Set("hits", JsonValue::Int(resolve.hits));
-  resolve_json.Set("misses", JsonValue::Int(resolve.misses));
-  resolve_json.Set("entries",
-                   JsonValue::Int(static_cast<std::int64_t>(resolve.entries)));
-  out.Set("resolve_cache", std::move(resolve_json));
+  out.Set("dataset_cache", CacheStatsJson(engine_.dataset_cache_stats()));
+  out.Set("wtp_cache", CacheStatsJson(engine_.wtp_cache_stats()));
+  out.Set("mining_cache", CacheStatsJson(engine_.mining_cache_stats()));
+  out.Set("resolve_cache", CacheStatsJson(engine_.resolve_cache_stats()));
   out.Set("uptime_seconds", JsonValue::Double(uptime_timer_.Seconds()));
   return out;
 }

@@ -1,5 +1,5 @@
-// String-keyed least-recently-used cache: the Engine's dataset, WTP and
-// resolve caches. Not thread-safe — the owner locks it, and keeps its own
+// String-keyed least-recently-used cache: the Engine's dataset, WTP, mining
+// and resolve caches. Not thread-safe — the owner locks it, and keeps its own
 // hit/miss counters because what counts as a hit is the owner's rule.
 
 #ifndef BUNDLEMINE_UTIL_LRU_CACHE_H_
@@ -38,6 +38,13 @@ class LruCache {
       entries_.emplace_front(key, std::move(value));
     }
     while (entries_.size() > capacity_) entries_.pop_back();
+  }
+
+  /// Erases the entry under `key`, if any.
+  void Erase(const std::string& key) {
+    entries_.remove_if([&key](const std::pair<std::string, V>& entry) {
+      return entry.first == key;
+    });
   }
 
   /// Erases every entry whose key starts with `prefix`.

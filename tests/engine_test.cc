@@ -5,6 +5,8 @@
 // artifact reader's write→read→write round trip.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +26,7 @@
 #include "scenario/artifact_reader.h"
 #include "scenario/artifact_writer.h"
 #include "scenario/scenario_spec.h"
+#include "scenario/sweep_runner.h"
 #include "serve/protocol.h"
 
 namespace bundlemine {
@@ -268,6 +271,188 @@ TEST(WtpCache, SecondSweepHitsAndSolveSharesEntries) {
   EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.entries, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Mining cache.
+// ---------------------------------------------------------------------------
+
+// Both freq variants over θ × k × λ: 16 freq cells on one dataset at one
+// support count.
+ScenarioSpec FreqGridSpec() {
+  ScenarioSpec spec;
+  spec.name = "engine-test-freq";
+  spec.dataset.profile = "tiny";
+  spec.dataset.seed = 7;
+  spec.methods = {"pure-freq", "mixed-freq"};
+  spec.axes.push_back({AxisKind::kTheta, {-0.05, 0.05}});
+  spec.axes.push_back({AxisKind::kK, {2, 3}});
+  spec.axes.push_back({AxisKind::kLambda, {1.0, 1.5}});
+  return spec;
+}
+
+std::string SweepArtifactOf(Engine& engine, const SweepRequest& request) {
+  StatusOr<SweepResponse> response = engine.Sweep(request);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? SweepArtifactJson(response->result) : "";
+}
+
+// The same grid straight through the sweep runner, which has no mining
+// provider: every freq cell mines for itself.
+std::string UncachedArtifactOf(const ScenarioSpec& spec) {
+  RatingsDataset dataset = GenerateAmazonLike(DatasetGeneratorConfig(spec.dataset));
+  SweepRunnerOptions options;
+  options.threads = 4;
+  return SweepArtifactJson(RunSweepCells(spec, ExpandGrid(spec), dataset, options));
+}
+
+TEST(MiningCache, FreqGridMinesOnceAndMatchesColdAndUncachedRuns) {
+  Engine::Options options;
+  options.threads = 4;
+  SweepRequest request;
+  request.spec = FreqGridSpec();
+
+  Engine cold(options);
+  const std::string cold_artifact = SweepArtifactOf(cold, request);
+  // θ, k, λ and pure vs mixed all share one entry: the 16 cells, 4 at a
+  // time, mine once (concurrent misses on the key wait for that mine).
+  Engine::CacheStats stats = cold.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 15);
+  EXPECT_EQ(stats.entries, 1u);
+
+  // The warm Engine answers every cell from the cache, byte-identically.
+  EXPECT_EQ(SweepArtifactOf(cold, request), cold_artifact);
+  stats = cold.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 31);
+
+  // A solve from the same dataset reference at the same support is a hit.
+  SolveRequest solve;
+  solve.method = "pure-freq";
+  solve.dataset = request.spec.dataset;
+  ASSERT_TRUE(cold.Solve(solve).ok());
+  stats = cold.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 32);
+
+  // Sixteen local mines give the same bytes.
+  EXPECT_EQ(UncachedArtifactOf(request.spec), cold_artifact);
+}
+
+TEST(MiningCache, SupportCountIsPartOfTheKey) {
+  Engine::Options options;
+  options.threads = 4;
+  Engine engine(options);
+  SweepRequest request;
+  request.spec = FreqGridSpec();
+  // On tiny's 220 users these are support counts 5 and 11.
+  request.spec.axes.push_back({AxisKind::kFreqSupport, {0.001, 0.05}});
+  const std::string artifact = SweepArtifactOf(engine, request);
+  Engine::CacheStats stats = engine.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.entries, 2u);
+
+  EXPECT_EQ(UncachedArtifactOf(request.spec), artifact);
+}
+
+TEST(MiningCache, DeadlineStoppedMinesAreNeverStored) {
+  SweepRequest request;
+  request.spec = FreqGridSpec();
+  request.spec.methods = {"pure-freq"};
+  request.spec.axes.resize(1);  // θ only: two cells.
+
+  Engine engine;
+  SweepRequest expired = request;
+  expired.options.deadline_seconds = 1e-9;  // Spent before the mine starts.
+  StatusOr<SweepResponse> stopped = engine.Sweep(expired);
+  ASSERT_TRUE(stopped.ok());
+  for (const SweepCellResult& cell : stopped->result.cells) {
+    EXPECT_TRUE(cell.stats.deadline_hit);
+  }
+  Engine::CacheStats stats = engine.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 2);  // Each cell mined; neither stored.
+  EXPECT_EQ(stats.entries, 0u);
+
+  // The next sweep mines in full and matches a cold Engine's bytes.
+  const std::string artifact = SweepArtifactOf(engine, request);
+  Engine cold;
+  EXPECT_EQ(artifact, SweepArtifactOf(cold, request));
+  stats = engine.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 3);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(MiningCache, WaiterWaitsNoLongerThanItsOwnDeadline) {
+  SweepRequest request;
+  request.spec = FreqGridSpec();
+  request.spec.methods = {"pure-freq"};
+  request.spec.axes = {{AxisKind::kTheta, {0.0}}};  // One cell, one mine.
+
+  Engine engine;
+  std::atomic<bool> long_mine_done{false};
+  std::string full_artifact;
+  std::thread unbounded([&] {
+    full_artifact = SweepArtifactOf(engine, request);
+    long_mine_done = true;
+  });
+  // The slot enters the cache as the unbounded sweep's mine starts.
+  for (int ms = 0; ms < 10000 && engine.mining_cache_stats().entries == 0; ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  SweepRequest bounded = request;
+  bounded.options.deadline_seconds = 0.05;
+  StatusOr<SweepResponse> stopped = engine.Sweep(bounded);
+  // It gave up on the long mine at its deadline instead of waiting for it:
+  // the mine it ran itself stopped at once and was not stored.
+  EXPECT_FALSE(long_mine_done);
+  ASSERT_TRUE(stopped.ok());
+  EXPECT_TRUE(stopped->result.cells[0].stats.deadline_hit);
+  Engine::CacheStats stats = engine.mining_cache_stats();
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 1);
+
+  unbounded.join();
+  stats = engine.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.entries, 1u);
+  Engine cold;
+  EXPECT_EQ(full_artifact, SweepArtifactOf(cold, request));
+}
+
+TEST(MiningCache, WaitersOfAStoppedMineTakeTheKeyOver) {
+  SweepRequest request;
+  request.spec = FreqGridSpec();
+  request.spec.methods = {"pure-freq"};
+  request.spec.axes = {{AxisKind::kTheta, {0.0}}};
+
+  // A bounded sweep puts the slot in and its mine stops at the deadline;
+  // an unbounded sweep of the same key that waited on it mines in full and
+  // stores the result in the slot the cache then holds.
+  Engine engine;
+  std::thread bounded([&] {
+    SweepRequest stopped = request;
+    stopped.options.deadline_seconds = 0.02;
+    EXPECT_TRUE(engine.Sweep(stopped).ok());
+  });
+  for (int ms = 0; ms < 10000 && engine.mining_cache_stats().entries == 0 &&
+                  engine.mining_cache_stats().misses == 0;
+       ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string artifact = SweepArtifactOf(engine, request);
+  bounded.join();
+  Engine::CacheStats stats = engine.mining_cache_stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.entries, 1u);
+
+  // The stored mine is the complete one: the next sweep hits and matches a
+  // cold Engine's bytes.
+  EXPECT_EQ(SweepArtifactOf(engine, request), artifact);
+  EXPECT_EQ(engine.mining_cache_stats().hits, stats.hits + 1);
+  Engine cold;
+  EXPECT_EQ(artifact, SweepArtifactOf(cold, request));
 }
 
 TEST(DatasetCache, KeyCoversSeedAndOverridesButNotLambda) {

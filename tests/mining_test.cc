@@ -265,7 +265,9 @@ TEST_P(MinerCrossValidationTest, MafiaEqualsMaximalApriori) {
     MinerLimits limits;
     limits.min_support_count = param.min_support;
 
-    auto mafia = MineMaximalFrequent(db, limits);
+    bool complete = false;
+    auto mafia = MineMaximalFrequent(db, limits, &complete);
+    EXPECT_TRUE(complete) << "trial " << trial;
     auto apriori_maximal = FilterMaximal(MineFrequentApriori(db, limits));
 
     ASSERT_EQ(mafia.size(), apriori_maximal.size()) << "trial " << trial;
@@ -302,6 +304,37 @@ TEST(MaximalMiner, SizeCapProducesCappedMaximalSets) {
   for (std::size_t s = 0; s < maximal.size(); ++s) {
     EXPECT_LE(maximal[s].items.size(), 2u);
     EXPECT_EQ(maximal[s].items, expected[s].items);
+  }
+}
+
+// max_results is a flagged stop, not an abort: the capped mine keeps at
+// most that many sets, every one of them frequent, and reports incomplete.
+TEST(MaximalMiner, ResultCapStopsTheMineAndReportsIncomplete) {
+  Rng rng(4242);
+  std::vector<std::vector<int>> txns;
+  for (int t = 0; t < 30; ++t) {
+    std::vector<int> txn;
+    for (int i = 0; i < 8; ++i) {
+      if (rng.UniformDouble() < 0.5) txn.push_back(i);
+    }
+    txns.push_back(std::move(txn));
+  }
+  TransactionDb db = TransactionDb::FromTransactions(8, txns);
+  MinerLimits limits;
+  limits.min_support_count = 3;
+  bool complete = false;
+  const auto full = MineMaximalFrequent(db, limits, &complete);
+  EXPECT_TRUE(complete);
+  ASSERT_GT(full.size(), 2u);
+
+  limits.max_results = 2;
+  complete = true;
+  const auto capped = MineMaximalFrequent(db, limits, &complete);
+  EXPECT_FALSE(complete);
+  EXPECT_LE(capped.size(), 2u);
+  for (const FrequentItemset& set : capped) {
+    EXPECT_GE(set.support, limits.min_support_count);
+    EXPECT_EQ(db.Support(set.items), set.support);
   }
 }
 

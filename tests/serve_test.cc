@@ -535,6 +535,27 @@ TEST(ServeTest, MalformedInputLeavesConnectionServing) {
       {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-freq;)"
        R"(axis:miner=2;axis:freq-support=0.02"})",
        "INVALID_ARGUMENT", "unknown axis 'miner'"},
+      // Out-of-domain adoption parameters and non-finite scalar keys: these
+      // once aborted the daemon in the adoption model's CHECKs and in the
+      // JSON writer.
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-matching;)"
+       R"(axis:alpha=0"})",
+       "INVALID_ARGUMENT", "axis 'alpha' needs positive values"},
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-matching;)"
+       R"(axis:alpha=-5"})",
+       "INVALID_ARGUMENT", "axis 'alpha' needs positive values"},
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-matching;)"
+       R"(axis:gamma=-5"})",
+       "INVALID_ARGUMENT", "axis 'gamma' needs positive values"},
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-matching;)"
+       R"(lambda=nan;axis:theta=0"})",
+       "INVALID_ARGUMENT", "lambda must be finite"},
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-matching;)"
+       R"(theta=nan;axis:k=2"})",
+       "INVALID_ARGUMENT", "theta must be finite"},
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-matching;)"
+       R"(popularity-exponent=nan;axis:theta=0"})",
+       "INVALID_ARGUMENT", "popularity-exponent must be finite"},
   };
   for (const Case& c : cases) {
     StatusOr<std::string> response = client.Call(c.line);
@@ -1053,26 +1074,44 @@ TEST(ServeTest, LruMarketEvictionKeepsTheCapAndPurgesCaches) {
     const JsonValue* incremental = resolved->FindMember("incremental");
     return incremental == nullptr ? JsonValue() : *incremental;
   };
-  const auto entries = [&client](const char* cache) -> std::int64_t {
+  const auto stat = [&client](const char* cache,
+                              const char* field) -> std::int64_t {
     StatusOr<JsonValue> stats = client.CallJson(R"({"kind":"stats"})");
     EXPECT_TRUE(stats.ok());
     if (!stats.ok()) return -1;
     return stats->FindMember("stats")
         ->FindMember(cache)
-        ->FindMember("entries")
+        ->FindMember(field)
         ->AsInt();
+  };
+  const auto entries = [&stat](const char* cache) {
+    return stat(cache, "entries");
+  };
+
+  // A freq resolve line at the same λ, so each market also holds one mine.
+  const auto freq_resolve = [&client](const std::string& market,
+                                      const std::string& method) {
+    StatusOr<JsonValue> resolved = client.CallJson(
+        R"({"kind":"resolve","market":")" + market +
+        R"(","spec":"scale=tiny;seed=7;methods=)" + method +
+        R"(;axis:theta=0"})");
+    ASSERT_TRUE(resolved.ok());
+    EXPECT_TRUE(resolved->FindMember("ok")->AsBool()) << resolved->Dump(0);
   };
 
   // m10 shares m1's id prefix: purging m1 must leave m10's entries alone.
   for (const char* market : {"m1", "m10"}) {
     load(market);
     EXPECT_FALSE(resolve(market).FindMember("response_cache_hit")->AsBool());
+    freq_resolve(market, "pure-freq");
   }
-  // One resolve line and one WTP derivation (base λ) per market.
+  // Two resolve lines, one WTP derivation (base λ) and one mine per market.
   const std::int64_t resolve_before = entries("resolve_cache");
   const std::int64_t wtp_before = entries("wtp_cache");
-  EXPECT_EQ(resolve_before, 2);
+  const std::int64_t mining_before = entries("mining_cache");
+  EXPECT_EQ(resolve_before, 4);
   EXPECT_EQ(wtp_before, 2);
+  EXPECT_EQ(mining_before, 2);
 
   // A third market evicts the LRU idle one (m1), purging its caches.
   load("m3");
@@ -1082,11 +1121,18 @@ TEST(ServeTest, LruMarketEvictionKeepsTheCapAndPurgesCaches) {
   ASSERT_EQ(markets->size(), 2u);
   EXPECT_EQ(markets->at(0).FindMember("id")->AsString(), "m10");
   EXPECT_EQ(markets->at(1).FindMember("id")->AsString(), "m3");
-  EXPECT_EQ(entries("resolve_cache"), resolve_before - 1);
+  EXPECT_EQ(entries("resolve_cache"), resolve_before - 2);
   EXPECT_EQ(entries("wtp_cache"), wtp_before - 1);
+  EXPECT_EQ(entries("mining_cache"), mining_before - 1);
 
   // m10's line survived: an unchanged market answers from the cache.
   EXPECT_TRUE(resolve("m10").FindMember("response_cache_hit")->AsBool());
+  // So did m10's mine: a new freq line on the unchanged m10 mines nothing.
+  const std::int64_t mining_misses = stat("mining_cache", "misses");
+  const std::int64_t mining_hits = stat("mining_cache", "hits");
+  freq_resolve("m10", "mixed-freq");
+  EXPECT_EQ(stat("mining_cache", "misses"), mining_misses);
+  EXPECT_EQ(stat("mining_cache", "hits"), mining_hits + 1);
 
   // A reloaded m1 (evicting m3, now the LRU) sits at the same version the
   // old m1 had, yet starts cold: no cached response, no reused pairs.

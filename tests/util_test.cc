@@ -528,5 +528,16 @@ TEST(LruCache, ErasePrefixDropsOnlyMatchingKeys) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(LruCache, EraseDropsOnlyThatKey) {
+  LruCache<int> cache(8);
+  cache.Put("s;support=5", 1);
+  cache.Put("s;support=50", 2);
+  cache.Erase("s;support=5");
+  cache.Erase("absent");  // No entry: a no-op.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Find("s;support=5"), nullptr);
+  EXPECT_NE(cache.Find("s;support=50"), nullptr);
+}
+
 }  // namespace
 }  // namespace bundlemine
