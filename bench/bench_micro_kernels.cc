@@ -249,6 +249,23 @@ BENCHMARK_CAPTURE(BM_GreedySolve, Dense, true)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_GreedySolve, Sparse, false)
     ->Unit(benchmark::kMillisecond);
 
+// The first-round candidate universe every pure/mixed matching and greedy
+// solve builds: WtpMatrix::CoInterestedPairs on a generated profile.
+void BM_CoInterestedPairs(benchmark::State& state, const char* profile) {
+  const WtpMatrix wtp =
+      WtpMatrix::FromRatings(GenerateAmazonLike(ProfileByName(profile, 7)), 1.25);
+  std::size_t pairs = 0;
+  for (auto _ : state) {
+    pairs = wtp.CoInterestedPairs().size();
+    benchmark::DoNotOptimize(pairs);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+}
+BENCHMARK_CAPTURE(BM_CoInterestedPairs, tiny, "tiny")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CoInterestedPairs, small, "small")
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_BitmapSupport(benchmark::State& state) {
   Rng rng(7);
   int users = static_cast<int>(state.range(0));

@@ -27,6 +27,7 @@
 //       --spec='scale=tiny;seed=7;methods=components,mixed-greedy;axis:theta=-0.1,0,0.1'
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "api/engine.h"
@@ -237,6 +238,13 @@ int main(int argc, char** argv) {
       !method.ok()) {
     return FailWith(method);
   }
+  // The scenario spec's rule for lambda: finite and positive.
+  const double lambda = flags.GetDouble("lambda");
+  if (!std::isfinite(lambda) || lambda <= 0.0) {
+    return FailWith(Status::InvalidArgument(
+        "--lambda must be finite and positive, got " +
+        flags.GetString("lambda")));
+  }
 
   // ---- Data. ----
   RatingsDataset dataset;
@@ -256,7 +264,7 @@ int main(int argc, char** argv) {
     dataset = GenerateAmazonLike(ProfileByName(
         scale, static_cast<std::uint64_t>(flags.GetInt("seed"))));
   }
-  WtpMatrix wtp = WtpMatrix::FromRatings(dataset, flags.GetDouble("lambda"));
+  WtpMatrix wtp = WtpMatrix::FromRatings(dataset, lambda);
   std::printf("dataset: %d consumers x %d items, %zu ratings; total WTP %.2f\n",
               wtp.num_users(), wtp.num_items(), dataset.ratings().size(),
               wtp.TotalWtp());

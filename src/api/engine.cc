@@ -1,6 +1,5 @@
 #include "api/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <limits>
@@ -225,13 +224,13 @@ Status ValidateMethodKey(const std::string& method) {
 }
 
 Status ValidateDatasetProfile(const std::string& profile) {
-  const std::vector<std::string>& profiles = KnownDatasetProfiles();
-  if (std::find(profiles.begin(), profiles.end(), profile) == profiles.end()) {
-    return Status::InvalidArgument(StrFormat(
-        "unknown dataset profile '%s' (valid: %s)", profile.c_str(),
-        JoinStrings(profiles, ", ").c_str()));
-  }
-  return Status::Ok();
+  // Every other DatasetSpec default is in the domain, so only the profile
+  // can fail here.
+  DatasetSpec spec;
+  spec.profile = profile;
+  std::string diagnostic;
+  if (ValidateDatasetSpec(spec, &diagnostic)) return Status::Ok();
+  return Status::InvalidArgument(diagnostic);
 }
 
 StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
@@ -378,11 +377,8 @@ SweepResult Engine::RunGrid(const ScenarioSpec& spec,
 
 StatusOr<std::shared_ptr<const RatingsDataset>> Engine::Dataset(
     const DatasetSpec& spec) {
-  if (Status profile = ValidateDatasetProfile(spec.profile); !profile.ok()) {
-    return profile;
-  }
-  if (spec.lambda <= 0.0) {
-    return Status::InvalidArgument("dataset lambda must be positive");
+  if (std::string diagnostic; !ValidateDatasetSpec(spec, &diagnostic)) {
+    return Status::InvalidArgument("invalid dataset: " + diagnostic);
   }
   return DatasetFor(spec);
 }

@@ -222,8 +222,9 @@ class Engine {
   StatusOr<SweepResponse> Sweep(const SweepRequest& request);
 
   /// Materializes (through the dataset cache) the dataset a DatasetSpec
-  /// names — the server's market-load path. Errors mirror Solve's dataset
-  /// validation: unknown profile, non-positive lambda.
+  /// names — the server's market-load path and Solve's dataset reference.
+  /// INVALID_ARGUMENT for an unknown profile (listing the known ones) or a
+  /// spec outside ValidateDatasetSpec's domain.
   StatusOr<std::shared_ptr<const RatingsDataset>> Dataset(
       const DatasetSpec& spec);
 

@@ -78,6 +78,16 @@ void OfferSet::RefreshDenseViews(Offer* o) const {
   }
 }
 
+MergeSide OfferSet::SideOf(const Offer& o) const {
+  MergeSide side{&o.raw, Scale(o.items.size()), o.price, &o.payments};
+  if (dense_) {
+    side.wtp_col = o.col.data();
+    side.payments_col = o.pay_col.data();
+    side.support = &o.support;
+  }
+  return side;
+}
+
 bool OfferSet::EvaluatePair(int ai, int bi, CandidateEdge* edge,
                             PricingWorkspace* ws) const {
   const Offer& a = offer(ai);
@@ -101,17 +111,7 @@ bool OfferSet::EvaluatePair(int ai, int bi, CandidateEdge* edge,
     edge->buyers = priced.expected_buyers;
     return true;
   }
-  MergeSide sa{&a.raw, Scale(a.items.size()), a.price, &a.payments};
-  MergeSide sb{&b.raw, Scale(b.items.size()), b.price, &b.payments};
-  if (dense_) {
-    sa.wtp_col = a.col.data();
-    sa.payments_col = a.pay_col.data();
-    sa.support = &a.support;
-    sb.wtp_col = b.col.data();
-    sb.payments_col = b.pay_col.data();
-    sb.support = &b.support;
-  }
-  MergeGainResult r = mixed_.MergeGain(sa, sb, merged_scale, ws);
+  MergeGainResult r = mixed_.MergeGain(SideOf(a), SideOf(b), merged_scale, ws);
   if (!r.feasible || r.gain <= kGainEpsilon) return false;
   edge->gain = r.gain;
   edge->price = r.bundle_price;
@@ -134,10 +134,8 @@ int OfferSet::Merge(const CandidateEdge& edge) {
     merged.attributed = edge.revenue;
   } else {
     merged.attributed = a.attributed + b.attributed + edge.gain;
-    MergeSide sa{&a.raw, Scale(a.items.size()), a.price, &a.payments};
-    MergeSide sb{&b.raw, Scale(b.items.size()), b.price, &b.payments};
     merged.payments = mixed_.BuildMergedPayments(
-        sa, sb, Scale(merged.items.size()), edge.price);
+        SideOf(a), SideOf(b), Scale(merged.items.size()), edge.price);
   }
   RefreshDenseViews(&merged);
   // Absorbed offers are never evaluated again; release their dense state

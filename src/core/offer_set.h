@@ -110,6 +110,10 @@ class OfferSet {
  private:
   double Scale(int size) const { return BundleScale(size, problem_->theta); }
 
+  // The mixed pricer's view of an offer, with its dense columns in dense
+  // mode.
+  MergeSide SideOf(const Offer& o) const;
+
   // Rebuilds an offer's support bitset (and, in dense mode, its WTP and
   // payment columns) from its sparse vectors.
   void RefreshDenseViews(Offer* o) const;

@@ -173,18 +173,28 @@ SparseWtpVector WtpMatrix::ItemVector(ItemId item) const {
 
 std::vector<std::pair<ItemId, ItemId>> WtpMatrix::CoInterestedPairs() const {
   std::vector<std::pair<ItemId, ItemId>> pairs;
-  for (UserId u = 0; u < num_users_; ++u) {
-    auto row = UserItems(u);
-    for (std::size_t a = 0; a < row.size(); ++a) {
-      if (row[a].w <= 0.0) continue;
-      for (std::size_t b = a + 1; b < row.size(); ++b) {
-        if (row[b].w <= 0.0) continue;
-        pairs.emplace_back(row[a].id, row[b].id);
+  // marked[j] != 0 iff some consumer of the current item i also wants j > i.
+  std::vector<unsigned char> marked(static_cast<std::size_t>(num_items_), 0);
+  for (ItemId i = 0; i < num_items_; ++i) {
+    ItemId last = i;
+    for (const WtpEntry& consumer : ItemUsers(i)) {
+      if (consumer.w <= 0.0) continue;
+      auto row = UserItems(consumer.id);
+      auto later = std::partition_point(
+          row.begin(), row.end(), [i](const WtpEntry& e) { return e.id <= i; });
+      for (; later != row.end(); ++later) {
+        if (later->w <= 0.0) continue;
+        marked[static_cast<std::size_t>(later->id)] = 1;
+        last = std::max(last, later->id);
       }
     }
+    for (ItemId j = i + 1; j <= last; ++j) {
+      unsigned char& mark = marked[static_cast<std::size_t>(j)];
+      if (mark == 0) continue;
+      mark = 0;
+      pairs.emplace_back(i, j);
+    }
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   return pairs;
 }
 

@@ -97,7 +97,11 @@ class WtpMatrix {
 
   /// Every unordered item pair {i, j} for which at least one consumer has
   /// positive WTP for both — the paper's first-iteration pruning universe.
-  /// Pairs are deduplicated and sorted.
+  /// Each pair appears once as (i, j) with i < j, in ascending (i, j) order;
+  /// the bundlers' round-1 block order, pair-cache lookups and heap seeding
+  /// rely on that order. Cost: one pass over each positive consumer's later
+  /// items per item, plus a num_items byte mask — O(Σ_u |row(u)|² + N²/2)
+  /// with no sort and no temporary pair list.
   std::vector<std::pair<ItemId, ItemId>> CoInterestedPairs() const;
 
  private:

@@ -41,6 +41,23 @@ void JoinSupportsInto(const SparseWtpVector& a, const SparseWtpVector& b,
   while (j < eb.size()) out->push_back(JointWtpEntry{eb[j].id, 0.0, eb[j].w}), ++j;
 }
 
+// Calls visit(u) for every consumer u in either side's support, ascending —
+// the dense counterpart of JoinSupportsInto's order.
+template <typename Visit>
+void ForEachUnionConsumer(const MergeSide& side1, const MergeSide& side2,
+                          Visit visit) {
+  const std::span<const std::uint64_t> wa = side1.support->words();
+  const std::span<const std::uint64_t> wb = side2.support->words();
+  BM_DCHECK(wa.size() == wb.size());
+  for (std::size_t k = 0; k < wa.size(); ++k) {
+    std::uint64_t word = wa[k] | wb[k];
+    while (word != 0) {
+      visit((k << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+      word &= word - 1;
+    }
+  }
+}
+
 // Stages the joint audience of the two sides into the workspace SoA columns
 // (per-side raw WTP plus forgone base payment, one slot per consumer in
 // ascending user-id order) and returns its size. When both sides carry a
@@ -57,20 +74,11 @@ std::size_t StageJointAudience(const MergeSide& side1, const MergeSide& side2,
   r2.clear();
   base.clear();
   if (side1.has_dense_view() && side2.has_dense_view()) {
-    const std::span<const std::uint64_t> wa = side1.support->words();
-    const std::span<const std::uint64_t> wb = side2.support->words();
-    BM_DCHECK(wa.size() == wb.size());
-    for (std::size_t k = 0; k < wa.size(); ++k) {
-      std::uint64_t word = wa[k] | wb[k];
-      while (word != 0) {
-        const std::size_t u =
-            (k << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        r1.push_back(side1.wtp_col[u]);
-        r2.push_back(side2.wtp_col[u]);
-        base.push_back(side1.payments_col[u] + side2.payments_col[u]);
-      }
-    }
+    ForEachUnionConsumer(side1, side2, [&](std::size_t u) {
+      r1.push_back(side1.wtp_col[u]);
+      r2.push_back(side2.wtp_col[u]);
+      base.push_back(side1.payments_col[u] + side2.payments_col[u]);
+    });
     return r1.size();
   }
   JoinSupportsInto(*side1.raw, *side2.raw, &ws->joint);
@@ -395,14 +403,13 @@ SparseWtpVector MixedPricer::BuildMergedPayments(const MergeSide& side1,
   const double alpha = model_.alpha();
   const double p1 = side1.price;
   const double p2 = side2.price;
-  std::vector<JointWtpEntry> joint;
-  JoinSupportsInto(*side1.raw, *side2.raw, &joint);
   std::vector<WtpEntry> entries;
-  for (const JointWtpEntry& u : joint) {
-    double aw1 = alpha * side1.scale * u.raw1;
-    double aw2 = alpha * side2.scale * u.raw2;
-    double awb = alpha * merged_scale * (u.raw1 + u.raw2);
-    double keep = side1.payments->ValueFor(u.user) + side2.payments->ValueFor(u.user);
+  // `keep` is what the consumer pays on the two sides without the bundle.
+  const auto emit = [&](std::int32_t user, double raw1, double raw2,
+                        double keep) {
+    double aw1 = alpha * side1.scale * raw1;
+    double aw2 = alpha * side2.scale * raw2;
+    double awb = alpha * merged_scale * (raw1 + raw2);
     double pay;
     if (model_.is_step()) {
       double t = std::min(awb, std::min(p1 + aw2, p2 + aw1));
@@ -422,7 +429,21 @@ SparseWtpVector MixedPricer::BuildMergedPayments(const MergeSide& side1,
       }
       pay = prob * price + (1.0 - prob) * keep;
     }
-    if (pay > 0.0) entries.push_back(WtpEntry{u.user, pay});
+    if (pay > 0.0) entries.push_back(WtpEntry{user, pay});
+  };
+  // Same consumers, order and values on both paths (see StageJointAudience).
+  if (side1.has_dense_view() && side2.has_dense_view()) {
+    ForEachUnionConsumer(side1, side2, [&](std::size_t u) {
+      emit(static_cast<std::int32_t>(u), side1.wtp_col[u], side2.wtp_col[u],
+           side1.payments_col[u] + side2.payments_col[u]);
+    });
+  } else {
+    std::vector<JointWtpEntry> joint;
+    JoinSupportsInto(*side1.raw, *side2.raw, &joint);
+    for (const JointWtpEntry& u : joint) {
+      emit(u.user, u.raw1, u.raw2,
+           side1.payments->ValueFor(u.user) + side2.payments->ValueFor(u.user));
+    }
   }
   return SparseWtpVector(std::move(entries));
 }

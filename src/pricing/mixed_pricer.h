@@ -73,11 +73,12 @@ struct MergeSide {
   // Optional dense (SoA) view of the same offer, supplied by bundlers that
   // maintain per-offer columns (MatchingBundler and GreedyBundler, through
   // the shared OfferSet, when the dense-column gate is on). When all three
-  // pointers are set on both sides, MergeGain stages
+  // pointers are set on both sides, MergeGain and BuildMergedPayments visit
   // the joint audience by iterating the support-union bitset over the dense
-  // columns instead of sorted-merging the sparse vectors. `wtp_col` and
-  // `payments_col` are num-users-sized arrays, zero where the consumer is
-  // absent; `support` has a bit per consumer with positive raw WTP.
+  // columns instead of sorted-merging the sparse vectors and binary-searching
+  // the payments. `wtp_col` and `payments_col` are num-users-sized arrays,
+  // zero where the consumer is absent; `support` has a bit per consumer with
+  // positive raw WTP.
   const double* wtp_col = nullptr;
   const double* payments_col = nullptr;
   const Bitset* support = nullptr;
@@ -122,6 +123,7 @@ class MixedPricer {
   /// Materializes the payment vector of the merged offer at the chosen
   /// bundle price: adopters pay `price`; everyone else keeps paying what
   /// they paid on the two sides. (Sigmoid model: expectation over adoption.)
+  /// Sides with dense views give bitwise the same entries as without.
   SparseWtpVector BuildMergedPayments(const MergeSide& side1,
                                       const MergeSide& side2,
                                       double merged_scale, double price) const;

@@ -394,34 +394,55 @@ bool ValidateAxisValues(const ScenarioAxis& axis, std::string* error) {
 
 }  // namespace
 
-bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
-  if (!KnownProfile(spec.dataset.profile)) {
-    return Fail(error, "unknown dataset profile '" + spec.dataset.profile + "'");
+bool ValidateDatasetSpec(const DatasetSpec& spec, std::string* error) {
+  if (!KnownProfile(spec.profile)) {
+    std::string known;
+    for (const std::string& profile : KnownDatasetProfiles()) {
+      known += (known.empty() ? "" : ", ") + profile;
+    }
+    return Fail(error, "unknown dataset profile '" + spec.profile +
+                           "' (valid: " + known + ")");
   }
-  // Every scalar double key must be finite: a NaN would otherwise reach the
-  // solvers and the artifact writer, which refuses non-finite numbers.
-  const std::pair<const char*, std::optional<double>> scalars[] = {
-      {"lambda", spec.dataset.lambda},
-      {"theta", spec.theta},
-      {"activity-sigma", spec.dataset.activity_sigma},
-      {"background-mass", spec.dataset.background_mass},
-      {"popularity-exponent", spec.dataset.popularity_exponent},
+  // Every double must be finite: a NaN would otherwise reach the generator,
+  // the solvers and the artifact writer, which refuses non-finite numbers.
+  const std::pair<const char*, std::optional<double>> doubles[] = {
+      {"lambda", spec.lambda},
+      {"activity-sigma", spec.activity_sigma},
+      {"background-mass", spec.background_mass},
+      {"popularity-exponent", spec.popularity_exponent},
   };
-  for (const auto& [key, value] : scalars) {
+  for (const auto& [key, value] : doubles) {
     if (value && !std::isfinite(*value)) {
       return Fail(error, std::string(key) + " must be finite");
     }
   }
-  if (spec.dataset.lambda <= 0.0) return Fail(error, "lambda must be positive");
-  if (spec.dataset.num_users && *spec.dataset.num_users <= 0) {
+  if (spec.lambda <= 0.0) return Fail(error, "lambda must be positive");
+  // Outside the generator's model: a negative activity spread, and genre
+  // weights that are negative or all zero (its sampler aborts on those).
+  if (spec.activity_sigma && *spec.activity_sigma < 0.0) {
+    return Fail(error, "activity-sigma must be >= 0");
+  }
+  if (spec.background_mass && *spec.background_mass < 0.0) {
+    return Fail(error, "background-mass must be >= 0");
+  }
+  if (spec.genres_per_user && *spec.genres_per_user < 1) {
+    return Fail(error, "genres-per-user must be >= 1");
+  }
+  if (spec.num_users && *spec.num_users <= 0) {
     return Fail(error, "num-users must be positive");
   }
-  if (spec.dataset.num_items && *spec.dataset.num_items <= 0) {
+  if (spec.num_items && *spec.num_items <= 0) {
     return Fail(error, "num-items must be positive");
   }
-  if (spec.dataset.item_sample && *spec.dataset.item_sample <= 0) {
+  if (spec.item_sample && *spec.item_sample <= 0) {
     return Fail(error, "item-sample must be positive");
   }
+  return true;
+}
+
+bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
+  if (!ValidateDatasetSpec(spec.dataset, error)) return false;
+  if (!std::isfinite(spec.theta)) return Fail(error, "theta must be finite");
   if (spec.price_levels < 0) return Fail(error, "levels must be >= 0");
   if (spec.max_bundle_size < 0) return Fail(error, "k must be >= 0");
   if (spec.methods.empty()) return Fail(error, "no methods listed");

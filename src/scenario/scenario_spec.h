@@ -142,12 +142,20 @@ std::optional<ScenarioSpec> ParseScenarioSpec(std::string_view text,
 /// identical spec.
 std::string FormatScenarioSpec(const ScenarioSpec& spec);
 
-/// Structural validation: a known profile, at least one method and every
-/// method registered, at least one axis and every axis non-empty, no axis
-/// kind repeated (the diagnostic names the duplicate and both positions),
-/// and per-kind value constraints (integer axes integral, toggles 0/1,
-/// positive population sizes). Returns false with a
+/// Domain check of a dataset reference: a known profile, a finite positive
+/// λ, finite generator overrides with activity-sigma >= 0, background-mass
+/// >= 0 and genres-per-user >= 1, and positive population sizes — the
+/// domain outside which the generator aborts. ValidateScenarioSpec and the
+/// Engine's dataset-reference path both call it. Returns false with a
 /// diagnostic in `error`.
+bool ValidateDatasetSpec(const DatasetSpec& spec, std::string* error = nullptr);
+
+/// Structural validation: ValidateDatasetSpec on the dataset, a finite θ,
+/// at least one method and every method registered, at least one axis and
+/// every axis non-empty, no axis kind repeated (the diagnostic names the
+/// duplicate and both positions), and per-kind value constraints (integer
+/// axes integral, toggles 0/1, positive population sizes). Returns false
+/// with a diagnostic in `error`.
 bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error = nullptr);
 
 /// Non-fatal authoring lints on an otherwise valid spec, one message per

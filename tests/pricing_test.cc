@@ -1,10 +1,14 @@
 // Unit tests for the pricing layer: adoption model, price grid, single-offer
 // pricer (including the paper's Table 1 worked example), and mixed pricer.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
+#include "mining/bitset.h"
 #include "pricing/adoption_model.h"
 #include "pricing/mixed_pricer.h"
 #include "pricing/offer_pricer.h"
@@ -362,6 +366,87 @@ TEST(MixedPricer, SigmoidCompositionsAgreeInStepLimit) {
   double g_step = step.MergeGain(a_step.Side(), b_step.Side(), 1.0 + kTheta).gain;
   EXPECT_NEAR(g_min, g_step, 0.15);
   EXPECT_NEAR(g_prod, g_step, 0.15);
+}
+
+// BuildMergedPayments reads the joint audience from the dense columns when
+// both sides carry them; the entries must be bitwise those of the sparse
+// sorted-merge path, for every adoption model and composition.
+TEST(MixedPricer, MergedPaymentsDenseViewMatchesSparseBitwise) {
+  constexpr int kUsers = 150;  // Spans three bitset words, the last partial.
+  // A random side: positive raw WTP on about half the consumers, payments on
+  // a subset of those, and the dense mirror of both.
+  struct RandomSide {
+    SparseWtpVector raw, payments;
+    std::vector<double> col, pay_col;
+    Bitset support{kUsers};
+    double scale = 1.0, price = 0.0;
+
+    MergeSide Sparse() const { return MergeSide{&raw, scale, price, &payments}; }
+    MergeSide Dense() const {
+      MergeSide side = Sparse();
+      side.wtp_col = col.data();
+      side.payments_col = pay_col.data();
+      side.support = &support;
+      return side;
+    }
+  };
+  const auto make_side = [](Rng* rng) {
+    RandomSide side;
+    side.col.assign(kUsers, 0.0);
+    side.pay_col.assign(kUsers, 0.0);
+    std::vector<WtpEntry> raw, pay;
+    for (int u = 0; u < kUsers; ++u) {
+      if (rng->UniformDouble() >= 0.5) continue;
+      const double w = rng->UniformDouble(0.5, 20.0);
+      raw.push_back(WtpEntry{u, w});
+      side.col[static_cast<std::size_t>(u)] = w;
+      side.support.Set(static_cast<std::size_t>(u));
+      if (rng->UniformDouble() < 0.6) {
+        const double paid = rng->UniformDouble(0.1, 15.0);
+        pay.push_back(WtpEntry{u, paid});
+        side.pay_col[static_cast<std::size_t>(u)] = paid;
+      }
+    }
+    side.raw = SparseWtpVector(std::move(raw));
+    side.payments = SparseWtpVector(std::move(pay));
+    side.scale = rng->UniformDouble() < 0.5 ? 1.0 : 0.95;
+    side.price = rng->UniformDouble(2.0, 15.0);
+    return side;
+  };
+  const AdoptionModel models[] = {AdoptionModel::Step(),
+                                  AdoptionModel::Sigmoid(0.5),
+                                  AdoptionModel::Sigmoid(4.0, 1.3)};
+  Rng rng(4242);
+  int compared = 0;
+  for (const AdoptionModel& model : models) {
+    for (MixedComposition composition :
+         {MixedComposition::kMinSlack, MixedComposition::kProduct}) {
+      const MixedPricer pricer(model, 100, composition);
+      for (int trial = 0; trial < 20; ++trial) {
+        const RandomSide a = make_side(&rng);
+        const RandomSide b = make_side(&rng);
+        const double merged_scale = rng.UniformDouble(0.9, 1.1);
+        // Prices inside the viability window and outside it.
+        for (double price :
+             {rng.UniformDouble(std::max(a.price, b.price), a.price + b.price),
+              rng.UniformDouble(0.5, 40.0)}) {
+          const SparseWtpVector sparse = pricer.BuildMergedPayments(
+              a.Sparse(), b.Sparse(), merged_scale, price);
+          const SparseWtpVector dense = pricer.BuildMergedPayments(
+              a.Dense(), b.Dense(), merged_scale, price);
+          ASSERT_EQ(dense.nnz(), sparse.nnz()) << "trial " << trial;
+          for (std::size_t i = 0; i < sparse.nnz(); ++i) {
+            EXPECT_EQ(dense.entries()[i].id, sparse.entries()[i].id);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(dense.entries()[i].w),
+                      std::bit_cast<std::uint64_t>(sparse.entries()[i].w))
+                << "trial " << trial << " entry " << i;
+          }
+          compared += static_cast<int>(sparse.nnz());
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 // Property sweep: on random instances the mixed gain is never negative and

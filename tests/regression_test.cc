@@ -3,11 +3,11 @@
 // the blossom matcher, and the golden sweep artifact (fixed-seed Tiny
 // θ-sweep compared field-by-field against tests/golden/).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "core/market_simulator.h"
@@ -30,33 +30,65 @@
 namespace bundlemine {
 namespace {
 
+// Reference pair universe: every pair of every consumer's positive-WTP row,
+// sorted and deduplicated — the order contract WtpMatrix::CoInterestedPairs
+// keeps without the sort.
+std::vector<std::pair<ItemId, ItemId>> CoInterestedPairsOracle(
+    const WtpMatrix& wtp) {
+  std::vector<std::pair<ItemId, ItemId>> pairs;
+  for (UserId u = 0; u < wtp.num_users(); ++u) {
+    auto row = wtp.UserItems(u);
+    for (std::size_t a = 0; a < row.size(); ++a) {
+      if (row[a].w <= 0.0) continue;
+      for (std::size_t b = a + 1; b < row.size(); ++b) {
+        if (row[b].w <= 0.0) continue;
+        pairs.emplace_back(row[a].id, row[b].id);
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
 TEST(CoInterestedPairs, MatchesBruteForceOnRandomMatrices) {
   Rng rng(3131);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 40; ++trial) {
     int users = rng.UniformInt(2, 15);
     int items = rng.UniformInt(2, 12);
+    // Odd trials: consumer 0 rates every item. Even trials: one item that
+    // nobody rates.
+    const bool full_row = trial % 2 == 1;
+    const ItemId unrated = rng.UniformInt(0, items - 1);
     std::vector<std::tuple<UserId, ItemId, double>> triplets;
-    std::vector<std::set<ItemId>> baskets(static_cast<std::size_t>(users));
     for (int u = 0; u < users; ++u) {
       for (int i = 0; i < items; ++i) {
-        if (rng.UniformDouble() < 0.3) {
+        if (full_row && u == 0) {
           triplets.emplace_back(u, i, rng.UniformDouble(0.5, 5.0));
-          baskets[static_cast<std::size_t>(u)].insert(i);
+        } else if ((full_row || i != unrated) && rng.UniformDouble() < 0.3) {
+          // A quarter of the ratings carry zero WTP and pair with nothing.
+          const double w =
+              rng.UniformDouble() < 0.25 ? 0.0 : rng.UniformDouble(0.5, 5.0);
+          triplets.emplace_back(u, i, w);
         }
       }
     }
     WtpMatrix wtp = WtpMatrix::FromTriplets(users, items, triplets);
-    std::set<std::pair<ItemId, ItemId>> expected;
-    for (const auto& basket : baskets) {
-      for (ItemId a : basket) {
-        for (ItemId b : basket) {
-          if (a < b) expected.insert({a, b});
-        }
-      }
+    EXPECT_EQ(wtp.CoInterestedPairs(), CoInterestedPairsOracle(wtp))
+        << "trial " << trial;
+  }
+}
+
+TEST(CoInterestedPairs, MatchesOracleOnGeneratedDatasets) {
+  for (const char* profile : {"tiny", "small"}) {
+    for (std::uint64_t seed : {7u, 101u}) {
+      const WtpMatrix wtp = WtpMatrix::FromRatings(
+          GenerateAmazonLike(ProfileByName(profile, seed)), 1.25);
+      const auto pairs = wtp.CoInterestedPairs();
+      EXPECT_FALSE(pairs.empty());
+      EXPECT_EQ(pairs, CoInterestedPairsOracle(wtp))
+          << profile << " seed " << seed;
     }
-    auto pairs = wtp.CoInterestedPairs();
-    std::set<std::pair<ItemId, ItemId>> actual(pairs.begin(), pairs.end());
-    EXPECT_TRUE(actual == expected) << "trial " << trial;
   }
 }
 

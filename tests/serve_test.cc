@@ -556,6 +556,21 @@ TEST(ServeTest, MalformedInputLeavesConnectionServing) {
       {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=pure-matching;)"
        R"(popularity-exponent=nan;axis:theta=0"})",
        "INVALID_ARGUMENT", "popularity-exponent must be finite"},
+      // Generator overrides outside their domain: these once aborted the
+      // daemon in the genre sampler's weight CHECKs.
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=components;)"
+       R"(background-mass=-1;axis:theta=0"})",
+       "INVALID_ARGUMENT", "background-mass must be >= 0"},
+      {R"({"kind":"solve","method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7,"background_mass":-1}})",
+       "INVALID_ARGUMENT", "background-mass must be >= 0"},
+      {R"({"kind":"solve","method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7,"genres_per_user":0,)"
+       R"("background_mass":0}})",
+       "INVALID_ARGUMENT", "genres-per-user must be >= 1"},
+      {R"({"kind":"sweep","spec":"scale=tiny;seed=7;methods=components;)"
+       R"(activity-sigma=-1;axis:theta=0"})",
+       "INVALID_ARGUMENT", "activity-sigma must be >= 0"},
   };
   for (const Case& c : cases) {
     StatusOr<std::string> response = client.Call(c.line);
